@@ -13,6 +13,7 @@
 #include "core/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/golden.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "util/env.hpp"
 #include "workload/workload.hpp"
@@ -95,23 +96,6 @@ ObsState& configured_obs_state() {
   return obs_state();
 }
 
-// JSON string escaping for the few provenance strings we embed (compiler
-// version banners can contain quotes or backslashes on exotic toolchains).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void init_obs(int argc, char** argv) {
@@ -154,12 +138,12 @@ void export_bench_json(const std::string& bench,
     std::exit(2);
   }
   char buf[64];
-  out << "{\n  \"schema\": 1,\n  \"bench\": \"" << json_escape(bench)
+  out << "{\n  \"schema\": 1,\n  \"bench\": \"" << obs::json::escape(bench)
       << "\",\n  \"toolchain\": {\n    \"compiler\": \""
 #if defined(__clang__)
-      << json_escape(__VERSION__)  // Clang's banner names itself.
+      << obs::json::escape(__VERSION__)  // Clang's banner names itself.
 #else
-      << json_escape(std::string("gcc ") + __VERSION__)
+      << obs::json::escape(std::string("gcc ") + __VERSION__)
 #endif
       << "\",\n    \"cxx_standard\": "
       << static_cast<long>(__cplusplus) << ",\n    \"build\": \""
@@ -174,9 +158,9 @@ void export_bench_json(const std::string& bench,
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const JsonMetric& m = metrics[i];
     std::snprintf(buf, sizeof(buf), "%.10g", m.value);
-    out << "    \"" << json_escape(m.name) << "\": {\"value\": " << buf
-        << ", \"unit\": \"" << json_escape(m.unit) << "\", \"better\": \""
-        << json_escape(m.better) << "\", \"gate\": "
+    out << "    \"" << obs::json::escape(m.name) << "\": {\"value\": " << buf
+        << ", \"unit\": \"" << obs::json::escape(m.unit) << "\", \"better\": \""
+        << obs::json::escape(m.better) << "\", \"gate\": "
         << (m.gate ? "true" : "false") << "}"
         << (i + 1 < metrics.size() ? ",\n" : "\n");
   }

@@ -6,29 +6,15 @@
 #include <cstdio>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace respin::obs {
 
 namespace {
 
 void append_escaped(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out += json::escape(text);
   out.push_back('"');
 }
 

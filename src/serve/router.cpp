@@ -1,14 +1,15 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "core/config.hpp"
 #include "core/serde.hpp"
-#include "util/require.hpp"
-#include "workload/workload.hpp"
+#include "serve/sweep.hpp"
 
 namespace respin::serve {
 
@@ -16,32 +17,13 @@ namespace obsj = respin::obs::json;
 
 namespace {
 
-obsj::Value ok_response(const char* op) {
-  obsj::Value v = obsj::Value::object();
-  v.set("ok", obsj::Value::boolean(true));
-  v.set("op", obsj::Value::str(op));
-  return v;
+/// A sweep cell's workload as progress events and the cost model name it:
+/// the catalog benchmark, or the trace or profile file path.
+const std::string& workload_label(const core::RequestSpec& spec) {
+  if (!spec.trace_file.empty()) return spec.trace_file;
+  if (!spec.profile_file.empty()) return spec.profile_file;
+  return spec.benchmark;
 }
-
-obsj::Value error_response(const char* op, const char* kind,
-                           const std::string& message) {
-  obsj::Value v = obsj::Value::object();
-  v.set("ok", obsj::Value::boolean(false));
-  if (op != nullptr) v.set("op", obsj::Value::str(op));
-  obsj::Value error = obsj::Value::object();
-  error.set("kind", obsj::Value::str(kind));
-  error.set("message", obsj::Value::str(message));
-  v.set("error", std::move(error));
-  return v;
-}
-
-void require_known_benchmark(const std::string& name) {
-  const std::vector<std::string> names = workload::benchmark_names();
-  RESPIN_REQUIRE(std::find(names.begin(), names.end(), name) != names.end(),
-                 "unknown benchmark '" + name + "'");
-}
-
-obsj::Value number_u64(std::uint64_t n) { return obsj::Value::number(n); }
 
 }  // namespace
 
@@ -115,8 +97,6 @@ Router::Router(const RouterConfig& config,
 
 Router::~Router() { drain(); }
 
-void Router::begin_drain() { draining_.store(true, std::memory_order_release); }
-
 void Router::drain() {
   begin_drain();
   std::unique_lock<std::mutex> lock(mu_);
@@ -127,66 +107,37 @@ std::size_t Router::shard_of(const std::string& key) const {
   return static_cast<std::size_t>(core::key_hash(key) % workers_.size());
 }
 
-std::string Router::handle_line(const std::string& line, const Emit& emit) {
-  ActiveGuard guard(*this);
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  obsj::Value request;
-  try {
-    request = obsj::parse(line);
-  } catch (const obsj::Error& e) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    return error_response(nullptr, "parse_error", e.what()).dump();
-  }
-  obsj::Value response;
-  try {
-    response = handle_request(request, line, emit);
-  } catch (const std::exception& e) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    response = error_response(nullptr, "bad_request", e.what());
-  }
-  // Echo the client's correlation id — unless the response came back from
-  // a worker that already echoed it (Value::set appends; a second set
-  // would emit a duplicate member).
-  if (const obsj::Value* id = request.find("id")) {
-    if (response.find("id") == nullptr) response.set("id", *id);
-  }
-  return response.dump();
-}
-
-obsj::Value Router::handle_request(const obsj::Value& request,
+obsj::Value Router::handle_request(const std::string& op,
+                                   const obsj::Value& request,
                                    const std::string& line, const Emit& emit) {
-  const obsj::Value* op_field = request.find("op");
-  if (op_field == nullptr) {
-    throw std::logic_error(
-        "missing 'op' (valid: ping, version, run, sweep, get, list, pareto, "
-        "stats, merge, compact, shutdown)");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "ping") return ok_response("ping");
+  ActiveGuard guard(*this);
   if (op == "version") {
     obsj::Value v = ok_response("version");
     v.set("version", obsj::Value::str(config_.version));
     v.set("workers", number_u64(workers_.size()));
     return v;
   }
-  if (op == "run" || op == "get") {
-    std::string key;
-    if (op == "get") {
-      if (const obsj::Value* k = request.find("key")) key = k->as_string();
-    }
-    if (key.empty()) {
-      key = core::canonical_key(core::request_spec_from_json(request));
-    }
-    if (op == "run" && draining()) {
+  if (op == "run") {
+    const std::string key =
+        core::canonical_key(core::request_spec_from_json(request));
+    if (draining()) {
       return error_response("run", "draining",
                             "router is draining; not accepting new work");
     }
-    return forward_keyed(op == "run" ? "run" : "get", key, line);
+    return forward_keyed("run", key, line);
   }
+  if (op == "get") return forward_keyed("get", request_key(request), line);
   if (op == "sweep") return do_sweep(request, emit);
   if (op == "list") return do_list();
-  if (op == "pareto") return do_pareto(request);
-  if (op == "stats") return do_stats();
+  if (op == "pareto") return do_pareto(request, line);
+  if (op == "stats") {
+    obsj::Value v = ok_response("stats");
+    v.set("counters", counters_to_json(counters()));
+    // Per-worker stats ride along so one query shows tier-wide queue
+    // health (serve.backlog, serve.queue_wait_ms.*) next to routing state.
+    v.set("workers", fan_out("{\"op\":\"stats\"}"));
+    return v;
+  }
   if (op == "merge" || op == "compact") {
     if (op == "merge" && request.find("path") == nullptr) {
       throw std::logic_error("merge needs a 'path' (JSONL store log to merge)");
@@ -196,25 +147,20 @@ obsj::Value Router::handle_request(const obsj::Value& request,
     v.set("workers", fan_out(line));
     return v;
   }
-  if (op == "shutdown") {
-    if (config_.forward_shutdown) {
-      for (auto& worker : workers_) {
-        try {
-          (void)worker->call("{\"op\":\"shutdown\"}");
-        } catch (const std::exception&) {
-          worker_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
+  // "shutdown", the one op left: the envelope admits no unknown op.
+  if (config_.forward_shutdown) {
+    for (auto& worker : workers_) {
+      try {
+        (void)worker->call("{\"op\":\"shutdown\"}");
+      } catch (const std::exception&) {
+        worker_errors_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    begin_drain();
-    obsj::Value v = ok_response("shutdown");
-    v.set("draining", obsj::Value::boolean(true));
-    return v;
   }
-  throw std::logic_error(
-      "unknown op '" + op +
-      "' (valid: ping, version, run, sweep, get, list, pareto, stats, "
-      "merge, compact, shutdown)");
+  begin_drain();
+  obsj::Value v = ok_response("shutdown");
+  v.set("draining", obsj::Value::boolean(true));
+  return v;
 }
 
 obsj::Value Router::forward_keyed(const char* op, const std::string& key,
@@ -258,58 +204,33 @@ obsj::Value Router::do_sweep(const obsj::Value& request, const Emit& emit) {
     return error_response("sweep", "draining",
                           "router is draining; not accepting new work");
   }
-  const core::RequestSpec base = core::request_spec_from_json(request);
-  RESPIN_REQUIRE(base.trace_file.empty(),
-                 "sweep supports catalog benchmarks only");
-
-  // Matrix axes, expanded exactly like a worker's own sweep so keys (and
-  // therefore shard ownership) match between tiers.
-  std::vector<core::ConfigId> configs;
-  if (const obsj::Value* list = request.find("configs")) {
-    for (const obsj::Value& name : list->as_array()) {
-      configs.push_back(core::parse_config_id(name.as_string()));
-    }
-  } else {
-    configs = core::all_config_ids();
-  }
-  std::vector<std::string> benchmarks;
-  if (const obsj::Value* list = request.find("benchmarks")) {
-    for (const obsj::Value& name : list->as_array()) {
-      require_known_benchmark(name.as_string());
-      benchmarks.push_back(name.as_string());
-    }
-  } else {
-    benchmarks = workload::benchmark_names();
-  }
-  RESPIN_REQUIRE(!configs.empty() && !benchmarks.empty(),
-                 "sweep needs at least one config and one benchmark");
-
   struct Cell {
     std::string key;
     std::string line;       ///< The forwarded `run` request line.
     std::string config;     ///< core::to_string name, for the cost model.
-    std::string benchmark;
+    std::string benchmark;  ///< workload_label, for the cost model.
     double predicted = 0.0;
     std::size_t index = 0;  ///< Matrix order, the deterministic tiebreak.
   };
   std::vector<std::vector<Cell>> queues(workers_.size());
-  std::size_t total = 0;
-  for (const core::ConfigId config : configs) {
-    for (const std::string& benchmark : benchmarks) {
-      core::RequestSpec spec = base;
-      spec.config = config;
-      spec.benchmark = benchmark;
-      Cell cell;
-      cell.key = core::canonical_key(spec);
-      obsj::Value run_request = core::request_spec_to_json(spec);
-      run_request.set("op", obsj::Value::str("run"));
-      cell.line = run_request.dump();
-      cell.config = core::to_string(config);
-      cell.benchmark = benchmark;
-      cell.predicted = cost_model_.predict(cell.config, cell.benchmark);
-      cell.index = total++;
-      queues[shard_of(cell.key)].push_back(std::move(cell));
-    }
+  const std::vector<SweepCell> planned = plan_sweep(request);
+  const std::size_t total = planned.size();
+  for (std::size_t i = 0; i < total; ++i) {
+    const SweepCell& sweep_cell = planned[i];
+    Cell cell;
+    cell.key = sweep_cell.key;
+    // cycle_skip is not part of the key, so request_spec_to_json drops
+    // it; the worker must still run the path the client asked for.
+    obsj::Value run_request = core::request_spec_to_json(sweep_cell.spec);
+    run_request.set("op", obsj::Value::str("run"));
+    run_request.set("cycle_skip",
+                    obsj::Value::boolean(sweep_cell.spec.options.cycle_skip));
+    cell.line = run_request.dump();
+    cell.config = core::to_string(sweep_cell.spec.config);
+    cell.benchmark = workload_label(sweep_cell.spec);
+    cell.predicted = cost_model_.predict(cell.config, cell.benchmark);
+    cell.index = i;
+    queues[shard_of(cell.key)].push_back(std::move(cell));
   }
   sweep_cells_total_.fetch_add(total, std::memory_order_relaxed);
 
@@ -324,29 +245,29 @@ obsj::Value Router::do_sweep(const obsj::Value& request, const Emit& emit) {
     });
   }
 
+  // A cell's outcome indexes its tally name (in response order), its
+  // progress-event source and its router-wide counter.
+  enum Outcome : std::size_t { kRan, kCached, kFailed };
+  constexpr const char* kTallyNames[] = {"ran", "cached", "failed"};
+  constexpr const char* kSources[] = {"sim", "cached", "error"};
+  std::atomic<std::uint64_t>* const tier_tallies[] = {
+      &sweep_cells_run_, &sweep_cells_cached_, &sweep_cells_failed_};
+  std::vector<std::array<std::atomic<std::size_t>, 3>> tallies(workers_.size());
   const obsj::Value* id = request.find("id");
   std::atomic<std::size_t> done{0};
-  struct ShardTally {
-    std::atomic<std::size_t> ran{0};
-    std::atomic<std::size_t> cached{0};
-    std::atomic<std::size_t> failed{0};
-  };
-  std::vector<ShardTally> tallies(workers_.size());
   std::mutex emit_mu;  // Serializes event composition, not transport.
 
   const auto run_cell = [&](std::size_t shard, const Cell& cell) {
-    const char* source = "error";
-    bool ok = false;
+    Outcome outcome = kFailed;
     try {
       const std::string wire = workers_[shard]->call(cell.line);
       const obsj::Value response = obsj::parse(wire);
       const obsj::Value* ok_field = response.find("ok");
-      ok = ok_field != nullptr && ok_field->as_bool();
-      if (ok) {
-        source = "sim";
+      if (ok_field != nullptr && ok_field->as_bool()) {
+        outcome = kRan;
         if (const obsj::Value* s = response.find("source")) {
           const std::string& from = s->as_string();
-          if (from == "cache" || from == "store") source = "cached";
+          if (from == "cache" || from == "store") outcome = kCached;
         }
         if (const obsj::Value* result = response.find("result")) {
           if (const obsj::Value* cycles = result->find("cycles")) {
@@ -361,16 +282,8 @@ obsj::Value Router::do_sweep(const obsj::Value& request, const Emit& emit) {
       // stray replicas and inexact shard state. The client re-sweeps.
       worker_errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!ok) {
-      tallies[shard].failed.fetch_add(1, std::memory_order_relaxed);
-      sweep_cells_failed_.fetch_add(1, std::memory_order_relaxed);
-    } else if (source == std::string("cached")) {
-      tallies[shard].cached.fetch_add(1, std::memory_order_relaxed);
-      sweep_cells_cached_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      tallies[shard].ran.fetch_add(1, std::memory_order_relaxed);
-      sweep_cells_run_.fetch_add(1, std::memory_order_relaxed);
-    }
+    tallies[shard][outcome].fetch_add(1, std::memory_order_relaxed);
+    tier_tallies[outcome]->fetch_add(1, std::memory_order_relaxed);
     const std::size_t now_done =
         done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (emit) {
@@ -387,8 +300,8 @@ obsj::Value Router::do_sweep(const obsj::Value& request, const Emit& emit) {
         event.set("benchmark", obsj::Value::str(cell.benchmark));
         event.set("shard", number_u64(shard));
         event.set("worker", obsj::Value::str(workers_[shard]->name()));
-        event.set("ok", obsj::Value::boolean(ok));
-        event.set("source", obsj::Value::str(source));
+        event.set("ok", obsj::Value::boolean(outcome != kFailed));
+        event.set("source", obsj::Value::str(kSources[outcome]));
       }
       progress_events_.fetch_add(1, std::memory_order_relaxed);
       emit(event.dump());
@@ -416,30 +329,26 @@ obsj::Value Router::do_sweep(const obsj::Value& request, const Emit& emit) {
   }
   for (std::thread& lane : lanes) lane.join();
 
-  std::size_t ran = 0, cached = 0, failed = 0;
+  std::array<std::size_t, 3> sums{};
   obsj::Array per_worker;
   for (std::size_t shard = 0; shard < workers_.size(); ++shard) {
-    const std::size_t w_ran = tallies[shard].ran.load();
-    const std::size_t w_cached = tallies[shard].cached.load();
-    const std::size_t w_failed = tallies[shard].failed.load();
-    ran += w_ran;
-    cached += w_cached;
-    failed += w_failed;
     obsj::Value w = obsj::Value::object();
     w.set("worker", obsj::Value::str(workers_[shard]->name()));
     w.set("shard", number_u64(shard));
     w.set("cells", number_u64(queues[shard].size()));
-    w.set("ran", number_u64(w_ran));
-    w.set("cached", number_u64(w_cached));
-    w.set("failed", number_u64(w_failed));
+    for (std::size_t k = 0; k < std::size(kTallyNames); ++k) {
+      const std::size_t n = tallies[shard][k].load();
+      sums[k] += n;
+      w.set(kTallyNames[k], number_u64(n));
+    }
     per_worker.push_back(std::move(w));
   }
 
   obsj::Value v = ok_response("sweep");
   v.set("cells", number_u64(total));
-  v.set("ran", number_u64(ran));
-  v.set("cached", number_u64(cached));
-  v.set("failed", number_u64(failed));
+  for (std::size_t k = 0; k < std::size(kTallyNames); ++k) {
+    v.set(kTallyNames[k], number_u64(sums[k]));
+  }
   v.set("workers", obsj::Value::array(std::move(per_worker)));
   return v;
 }
@@ -465,11 +374,7 @@ obsj::Value Router::fan_out(const std::string& line) {
 obsj::Value Router::do_list() {
   // Union of the workers' stores, deduplicated by key (failover can leave
   // a key replicated) and sorted for a deterministic listing.
-  struct Run {
-    std::string key;
-    obsj::Value run;
-  };
-  std::vector<Run> runs;
+  std::map<std::string, ResultStore::Brief> by_key;
   for (auto& worker : workers_) {
     std::string wire;
     try {
@@ -479,51 +384,28 @@ obsj::Value Router::do_list() {
       continue;
     }
     const obsj::Value response = obsj::parse(wire);
-    const obsj::Value* list = response.find("runs");
-    if (list == nullptr) continue;
-    for (const obsj::Value& run : list->as_array()) {
-      if (const obsj::Value* key = run.find("key")) {
-        runs.push_back(Run{key->as_string(), run});
+    if (const obsj::Value* list = response.find("runs")) {
+      for (const obsj::Value& run : list->as_array()) {
+        const ResultStore::Brief brief{run.find("key")->as_string(),
+                                       run.find("hash")->as_string(),
+                                       run.find("config")->as_string(),
+                                       run.find("benchmark")->as_string()};
+        by_key.emplace(brief.key, brief);
       }
     }
   }
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& a, const Run& b) { return a.key < b.key; });
-  runs.erase(std::unique(runs.begin(), runs.end(),
-                         [](const Run& a, const Run& b) {
-                           return a.key == b.key;
-                         }),
-             runs.end());
-  obsj::Value v = ok_response("list");
-  obsj::Array items;
-  items.reserve(runs.size());
-  for (Run& run : runs) items.push_back(std::move(run.run));
-  v.set("count", number_u64(items.size()));
-  v.set("runs", obsj::Value::array(std::move(items)));
-  return v;
+  std::vector<ResultStore::Brief> runs;
+  for (auto& entry : by_key) runs.push_back(std::move(entry.second));
+  return list_response(runs);
 }
 
-obsj::Value Router::do_pareto(const obsj::Value& request) {
-  std::string metric_x = "energy_pj";
-  std::string metric_y = "cycles";
-  if (const obsj::Value* x = request.find("x")) metric_x = x->as_string();
-  if (const obsj::Value* y = request.find("y")) metric_y = y->as_string();
-  obsj::Value query = obsj::Value::object();
-  query.set("op", obsj::Value::str("pareto"));
-  query.set("x", obsj::Value::str(metric_x));
-  query.set("y", obsj::Value::str(metric_y));
-  const std::string line = query.dump();
-
+obsj::Value Router::do_pareto(const obsj::Value& request,
+                              const std::string& line) {
+  const auto [x, y] = pareto_axes(request);
   // Each worker returns its shard-local frontier; the global frontier is
   // a subset of their union, so recomputing dominance over the union is
   // exact without shipping whole stores.
-  struct Point {
-    double x;
-    double y;
-    std::string key;
-    obsj::Value point;
-  };
-  std::vector<Point> points;
+  std::vector<ParetoPoint> points;
   for (auto& worker : workers_) {
     std::string wire;
     try {
@@ -538,62 +420,13 @@ obsj::Value Router::do_pareto(const obsj::Value& request) {
       // Metric errors must not be swallowed into an empty frontier.
       return response;
     }
-    const obsj::Value* list = response.find("points");
-    if (list == nullptr) continue;
-    for (const obsj::Value& point : list->as_array()) {
-      Point p;
-      p.x = point.find("x")->as_double();
-      p.y = point.find("y")->as_double();
-      p.key = point.find("key")->as_string();
-      p.point = point;
-      points.push_back(std::move(p));
-    }
-  }
-  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
-    if (a.x != b.x) return a.x < b.x;
-    if (a.y != b.y) return a.y < b.y;
-    return a.key < b.key;
-  });
-  points.erase(std::unique(points.begin(), points.end(),
-                           [](const Point& a, const Point& b) {
-                             return a.key == b.key;
-                           }),
-               points.end());
-  std::vector<Point> frontier;
-  for (const Point& candidate : points) {
-    bool dominated = false;
-    for (const Point& other : points) {
-      if (other.x <= candidate.x && other.y <= candidate.y &&
-          (other.x < candidate.x || other.y < candidate.y)) {
-        dominated = true;
-        break;
+    if (const obsj::Value* list = response.find("points")) {
+      for (const obsj::Value& point : list->as_array()) {
+        points.push_back(pareto_point_from_json(point));
       }
     }
-    if (!dominated) frontier.push_back(candidate);
   }
-  obsj::Value v = ok_response("pareto");
-  v.set("x", obsj::Value::str(metric_x));
-  v.set("y", obsj::Value::str(metric_y));
-  obsj::Array out;
-  out.reserve(frontier.size());
-  for (Point& p : frontier) out.push_back(std::move(p.point));
-  v.set("count", number_u64(out.size()));
-  v.set("points", obsj::Value::array(std::move(out)));
-  return v;
-}
-
-obsj::Value Router::do_stats() {
-  obsj::Value v = ok_response("stats");
-  obsj::Value counters_v = obsj::Value::object();
-  const obs::CounterSet set = counters();
-  for (const obs::Counter& c : set.items()) {
-    counters_v.set(c.name, obsj::Value::number(c.value));
-  }
-  v.set("counters", std::move(counters_v));
-  // Per-worker stats ride along so one query shows tier-wide queue
-  // health (serve.backlog, serve.queue_wait_ms.*) next to routing state.
-  v.set("workers", fan_out("{\"op\":\"stats\"}"));
-  return v;
+  return pareto_response(x, y, pareto_frontier(std::move(points)));
 }
 
 obs::CounterSet Router::counters() const {
@@ -602,8 +435,8 @@ obs::CounterSet Router::counters() const {
   };
   obs::CounterSet set;
   set.add("router.workers", static_cast<std::uint64_t>(workers_.size()));
-  set.add("router.requests_total", load(requests_total_));
-  set.add("router.protocol_errors", load(protocol_errors_));
+  set.add("router.requests_total", requests_total());
+  set.add("router.protocol_errors", protocol_errors());
   set.add("router.forwarded", load(forwarded_));
   set.add("router.failovers", load(failovers_));
   set.add("router.worker_errors", load(worker_errors_));

@@ -12,8 +12,8 @@
 //    transport fails, the request fails over to the next worker (counted;
 //    the result lands in the wrong shard's store, which a later `merge`
 //    reconciles).
-//  - sweep: the matrix is expanded cell-by-cell (identically to a
-//    worker's own expansion, so keys match), cells are grouped by owner
+//  - sweep: the matrix is expanded by the planner a worker's own sweep
+//    uses (serve/sweep.hpp, so keys match), cells are grouped by owner
 //    shard, and each shard's queue is dispatched longest-expected-first
 //    (CostModel prediction; LPT list scheduling cuts sweep makespan)
 //    through a bounded number of lanes per worker. Cells never fail over
@@ -117,13 +117,6 @@ class Router : public LineService {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  using LineService::handle_line;
-  std::string handle_line(const std::string& line, const Emit& emit) override;
-
-  void begin_drain() override;
-  bool draining() const override {
-    return draining_.load(std::memory_order_acquire);
-  }
   /// begin_drain() plus blocking until every active request returned.
   void drain() override;
 
@@ -140,14 +133,16 @@ class Router : public LineService {
  private:
   struct ActiveGuard;
 
-  obs::json::Value handle_request(const obs::json::Value& request,
-                                  const std::string& line, const Emit& emit);
+  obs::json::Value handle_request(const std::string& op,
+                                  const obs::json::Value& request,
+                                  const std::string& line,
+                                  const Emit& emit) override;
   obs::json::Value forward_keyed(const char* op, const std::string& key,
                                  const std::string& line);
   obs::json::Value do_sweep(const obs::json::Value& request, const Emit& emit);
   obs::json::Value do_list();
-  obs::json::Value do_pareto(const obs::json::Value& request);
-  obs::json::Value do_stats();
+  obs::json::Value do_pareto(const obs::json::Value& request,
+                             const std::string& line);
   /// Sends `line` to every worker, collecting each parsed response (or a
   /// transport-error response) into a per-worker array.
   obs::json::Value fan_out(const std::string& line);
@@ -156,13 +151,10 @@ class Router : public LineService {
   std::vector<std::unique_ptr<WorkerBackend>> workers_;
   CostModel cost_model_;
 
-  std::atomic<bool> draining_{false};
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   std::size_t active_ = 0;
 
-  std::atomic<std::uint64_t> requests_total_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> worker_errors_{0};

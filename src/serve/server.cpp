@@ -7,6 +7,7 @@
 
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
+#include "serve/sweep.hpp"
 #include "trace/fit/fit.hpp"
 #include "trace/replay.hpp"
 #include "util/require.hpp"
@@ -87,33 +88,6 @@ core::SimResult run_request(const core::RequestSpec& spec) {
   return core::run_experiment(spec.config, spec.benchmark, spec.options);
 }
 
-void require_known_benchmark(const std::string& name) {
-  const std::vector<std::string> names = workload::benchmark_names();
-  if (std::find(names.begin(), names.end(), name) == names.end()) {
-    throw std::logic_error("unknown benchmark '" + name +
-                           "' (see respin_sim --list-workloads)");
-  }
-}
-
-obsj::Value ok_response(const char* op) {
-  obsj::Value v = obsj::Value::object();
-  v.set("ok", obsj::Value::boolean(true));
-  v.set("op", obsj::Value::str(op));
-  return v;
-}
-
-obsj::Value error_response(const char* op, const char* kind,
-                           const std::string& message) {
-  obsj::Value v = obsj::Value::object();
-  v.set("ok", obsj::Value::boolean(false));
-  if (op != nullptr) v.set("op", obsj::Value::str(op));
-  obsj::Value error = obsj::Value::object();
-  error.set("kind", obsj::Value::str(kind));
-  error.set("message", obsj::Value::str(message));
-  v.set("error", std::move(error));
-  return v;
-}
-
 }  // namespace
 
 Server::Server(const ServerConfig& config)
@@ -131,50 +105,15 @@ Server::~Server() {
   scheduler_.join();
 }
 
-void Server::begin_drain() {
-  draining_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-}
-
 void Server::drain() {
   begin_drain();
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
 }
 
-std::string Server::handle_line(const std::string& line, const Emit&) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  obsj::Value request;
-  try {
-    request = obsj::parse(line);
-  } catch (const obsj::Error& e) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    return error_response(nullptr, "parse_error", e.what()).dump();
-  }
-  obsj::Value response;
-  try {
-    response = handle_request(request);
-  } catch (const std::exception& e) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    response = error_response(nullptr, "bad_request", e.what());
-  }
-  // Echo the client's correlation id, if any, so pipelined requests over
-  // one connection can be matched to their responses.
-  if (const obsj::Value* id = request.find("id")) {
-    response.set("id", *id);
-  }
-  return response.dump();
-}
-
-obsj::Value Server::handle_request(const obsj::Value& request) {
-  const obsj::Value* op_field = request.find("op");
-  if (op_field == nullptr) {
-    throw std::logic_error(
-        "missing 'op' (valid: ping, version, run, sweep, get, list, pareto, "
-        "stats, merge, compact, shutdown)");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "ping") return ok_response("ping");
+obsj::Value Server::handle_request(const std::string& op,
+                                   const obsj::Value& request,
+                                   const std::string&, const Emit&) {
   if (op == "version") {
     obsj::Value v = ok_response("version");
     v.set("version", obsj::Value::str(config_.version));
@@ -183,21 +122,23 @@ obsj::Value Server::handle_request(const obsj::Value& request) {
   if (op == "run") return do_run(request);
   if (op == "sweep") return do_sweep(request);
   if (op == "get") return do_get(request);
-  if (op == "list") return do_list();
-  if (op == "pareto") return do_pareto(request);
-  if (op == "stats") return do_stats();
-  if (op == "merge") return do_merge(request);
-  if (op == "compact") return do_compact();
-  if (op == "shutdown") {
-    begin_drain();
-    obsj::Value v = ok_response("shutdown");
-    v.set("draining", obsj::Value::boolean(true));
+  if (op == "list") return list_response(store_.list());
+  if (op == "pareto") {
+    const auto [x, y] = pareto_axes(request);
+    return pareto_response(x, y, store_.pareto(x, y));
+  }
+  if (op == "stats") {
+    obsj::Value v = ok_response("stats");
+    v.set("counters", counters_to_json(counters()));
     return v;
   }
-  throw std::logic_error(
-      "unknown op '" + op +
-      "' (valid: ping, version, run, sweep, get, list, pareto, stats, "
-      "merge, compact, shutdown)");
+  if (op == "merge") return do_merge(request);
+  if (op == "compact") return do_compact();
+  // "shutdown", the one op left: the envelope admits no unknown op.
+  begin_drain();
+  obsj::Value v = ok_response("shutdown");
+  v.set("draining", obsj::Value::boolean(true));
+  return v;
 }
 
 obsj::Value Server::do_run(const obsj::Value& request) {
@@ -294,63 +235,15 @@ obsj::Value Server::do_sweep(const obsj::Value& request) {
     return error_response("sweep", "draining",
                           "server is draining; not accepting new work");
   }
-  // Shared run options come from the same fields as a single run; the
-  // matrix axes replace "config"/"benchmark".
-  const core::RequestSpec base = core::request_spec_from_json(request);
-  // A trace/profile workload pins the benchmark axis: the sweep runs the
-  // one imported workload across the configuration axis.
-  const bool file_workload =
-      !base.trace_file.empty() || !base.profile_file.empty();
-  RESPIN_REQUIRE(!file_workload || request.find("benchmarks") == nullptr,
-                 "a trace_file/profile_file sweep fixes the workload; drop "
-                 "the 'benchmarks' axis");
-
-  std::vector<core::ConfigId> configs;
-  if (const obsj::Value* list = request.find("configs")) {
-    for (const obsj::Value& name : list->as_array()) {
-      configs.push_back(core::parse_config_id(name.as_string()));
-    }
-  } else {
-    configs = core::all_config_ids();
+  // Resume: a cell already checkpointed in the store is never re-run.
+  const std::vector<SweepCell> cells = plan_sweep(request);
+  std::vector<const SweepCell*> missing;
+  for (const SweepCell& cell : cells) {
+    if (!store_.contains(cell.key)) missing.push_back(&cell);
   }
-  std::vector<std::string> benchmarks;
-  if (file_workload) {
-    benchmarks.push_back(std::string());  // Placeholder: one workload.
-  } else if (const obsj::Value* list = request.find("benchmarks")) {
-    for (const obsj::Value& name : list->as_array()) {
-      require_known_benchmark(name.as_string());
-      benchmarks.push_back(name.as_string());
-    }
-  } else {
-    benchmarks = workload::benchmark_names();
-  }
-  RESPIN_REQUIRE(!configs.empty() && !benchmarks.empty(),
-                 "sweep needs at least one config and one benchmark");
-
-  // Expand the matrix into cells and resume: a cell already checkpointed
-  // in the store is never re-simulated.
-  struct Cell {
-    core::RequestSpec spec;
-    std::string key;
-  };
-  std::vector<Cell> missing;
-  std::size_t resumed = 0;
-  const std::size_t total = configs.size() * benchmarks.size();
+  const std::size_t total = cells.size();
+  const std::size_t resumed = total - missing.size();
   sweep_cells_total_.fetch_add(total, std::memory_order_relaxed);
-  for (const core::ConfigId config : configs) {
-    for (const std::string& benchmark : benchmarks) {
-      Cell cell;
-      cell.spec = base;
-      cell.spec.config = config;
-      if (!file_workload) cell.spec.benchmark = benchmark;
-      cell.key = core::canonical_key(cell.spec);
-      if (store_.contains(cell.key)) {
-        ++resumed;
-      } else {
-        missing.push_back(std::move(cell));
-      }
-    }
-  }
   sweep_cells_resumed_.fetch_add(resumed, std::memory_order_relaxed);
 
   // Run the missing cells as one pool fan-out, checkpointing each cell to
@@ -358,7 +251,7 @@ obsj::Value Server::do_sweep(const obsj::Value& request) {
   // cell is counted and reported but does not abort its siblings.
   const std::vector<int> outcomes =
       exec::parallel_map_n(missing.size(), [&](std::size_t i) -> int {
-        const Cell& cell = missing[i];
+        const SweepCell& cell = *missing[i];
         try {
           obs::ScopedProbe probe("serve.sweep_cell");
           auto result =
@@ -379,23 +272,16 @@ obsj::Value Server::do_sweep(const obsj::Value& request) {
       std::count(outcomes.begin(), outcomes.end(), 1));
 
   obsj::Value v = ok_response("sweep");
-  v.set("cells", obsj::Value::number(static_cast<std::uint64_t>(total)));
-  v.set("ran", obsj::Value::number(static_cast<std::uint64_t>(ran)));
-  v.set("resumed", obsj::Value::number(static_cast<std::uint64_t>(resumed)));
-  v.set("failed", obsj::Value::number(
-                      static_cast<std::uint64_t>(missing.size() - ran)));
-  v.set("store_size",
-        obsj::Value::number(static_cast<std::uint64_t>(store_.size())));
+  v.set("cells", number_u64(total));
+  v.set("ran", number_u64(ran));
+  v.set("resumed", number_u64(resumed));
+  v.set("failed", number_u64(missing.size() - ran));
+  v.set("store_size", number_u64(store_.size()));
   return v;
 }
 
 obsj::Value Server::do_get(const obsj::Value& request) {
-  std::string key;
-  if (const obsj::Value* k = request.find("key")) {
-    key = k->as_string();
-  } else {
-    key = core::canonical_key(core::request_spec_from_json(request));
-  }
+  const std::string key = request_key(request);
   const std::optional<core::SimResult> stored = store_.get(key);
   if (!stored.has_value()) {
     obsj::Value v = error_response("get", "not_found",
@@ -410,49 +296,6 @@ obsj::Value Server::do_get(const obsj::Value& request) {
   return v;
 }
 
-obsj::Value Server::do_list() const {
-  obsj::Value v = ok_response("list");
-  obsj::Array runs;
-  for (const ResultStore::Brief& brief : store_.list()) {
-    obsj::Value run = obsj::Value::object();
-    run.set("key", obsj::Value::str(brief.key));
-    run.set("hash", obsj::Value::str(brief.hash));
-    run.set("config", obsj::Value::str(brief.config));
-    run.set("benchmark", obsj::Value::str(brief.benchmark));
-    runs.push_back(std::move(run));
-  }
-  v.set("count", obsj::Value::number(static_cast<std::uint64_t>(runs.size())));
-  v.set("runs", obsj::Value::array(std::move(runs)));
-  return v;
-}
-
-obsj::Value Server::do_pareto(const obsj::Value& request) const {
-  std::string metric_x = "energy_pj";
-  std::string metric_y = "cycles";
-  if (const obsj::Value* x = request.find("x")) metric_x = x->as_string();
-  if (const obsj::Value* y = request.find("y")) metric_y = y->as_string();
-  const std::vector<ParetoPoint> frontier = store_.pareto(metric_x, metric_y);
-  obsj::Value v = ok_response("pareto");
-  v.set("x", obsj::Value::str(metric_x));
-  v.set("y", obsj::Value::str(metric_y));
-  obsj::Array points;
-  points.reserve(frontier.size());
-  for (const ParetoPoint& p : frontier) {
-    obsj::Value point = obsj::Value::object();
-    point.set("key", obsj::Value::str(p.key));
-    point.set("hash", obsj::Value::str(p.hash));
-    point.set("config", obsj::Value::str(p.config));
-    point.set("benchmark", obsj::Value::str(p.benchmark));
-    point.set("x", obsj::Value::number(p.x));
-    point.set("y", obsj::Value::number(p.y));
-    points.push_back(std::move(point));
-  }
-  v.set("count",
-        obsj::Value::number(static_cast<std::uint64_t>(points.size())));
-  v.set("points", obsj::Value::array(std::move(points)));
-  return v;
-}
-
 obsj::Value Server::do_merge(const obsj::Value& request) {
   const obsj::Value* path = request.find("path");
   if (path == nullptr) {
@@ -462,18 +305,12 @@ obsj::Value Server::do_merge(const obsj::Value& request) {
   store_merges_.fetch_add(1, std::memory_order_relaxed);
   obsj::Value v = ok_response("merge");
   v.set("path", *path);
-  v.set("scanned",
-        obsj::Value::number(static_cast<std::uint64_t>(stats.scanned)));
-  v.set("inserted",
-        obsj::Value::number(static_cast<std::uint64_t>(stats.inserted)));
-  v.set("superseded",
-        obsj::Value::number(static_cast<std::uint64_t>(stats.superseded)));
-  v.set("ignored",
-        obsj::Value::number(static_cast<std::uint64_t>(stats.ignored)));
-  v.set("skipped_lines",
-        obsj::Value::number(static_cast<std::uint64_t>(stats.skipped_lines)));
-  v.set("store_size",
-        obsj::Value::number(static_cast<std::uint64_t>(store_.size())));
+  v.set("scanned", number_u64(stats.scanned));
+  v.set("inserted", number_u64(stats.inserted));
+  v.set("superseded", number_u64(stats.superseded));
+  v.set("ignored", number_u64(stats.ignored));
+  v.set("skipped_lines", number_u64(stats.skipped_lines));
+  v.set("store_size", number_u64(store_.size()));
   return v;
 }
 
@@ -481,19 +318,8 @@ obsj::Value Server::do_compact() {
   const std::size_t kept = store_.compact();
   store_compactions_.fetch_add(1, std::memory_order_relaxed);
   obsj::Value v = ok_response("compact");
-  v.set("records", obsj::Value::number(static_cast<std::uint64_t>(kept)));
+  v.set("records", number_u64(kept));
   v.set("generation", obsj::Value::number(store_.generation()));
-  return v;
-}
-
-obsj::Value Server::do_stats() const {
-  obsj::Value v = ok_response("stats");
-  obsj::Value counters_v = obsj::Value::object();
-  const obs::CounterSet set = counters();
-  for (const obs::Counter& c : set.items()) {
-    counters_v.set(c.name, obsj::Value::number(c.value));
-  }
-  v.set("counters", std::move(counters_v));
   return v;
 }
 
@@ -502,8 +328,8 @@ obs::CounterSet Server::counters() const {
     return a.load(std::memory_order_relaxed);
   };
   obs::CounterSet set;
-  set.add("serve.requests_total", load(requests_total_));
-  set.add("serve.protocol_errors", load(protocol_errors_));
+  set.add("serve.requests_total", requests_total());
+  set.add("serve.protocol_errors", protocol_errors());
   set.add("serve.run_requests", load(run_requests_));
   set.add("serve.cache_hits", load(cache_hits_));
   set.add("serve.store_hits", load(store_hits_));

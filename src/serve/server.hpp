@@ -3,9 +3,7 @@
 // checkpoint/resume, and the query surface over the results store.
 //
 // Protocol: one JSON object per line in, one JSON object per line out
-// (docs/serving.md). handle_line() is the transport-independent entry
-// point — the TCP and stdio front ends in serve/net.hpp call it from
-// their connection threads, and tests drive it directly.
+// (docs/serving.md), through LineService::handle_line (serve/service.hpp).
 //
 // Execution model: a `run` request resolves in order against (1) the LRU
 // result cache, (2) the durable results store, (3) the in-flight table —
@@ -18,10 +16,11 @@
 // requests honour a per-request deadline (`timeout`) while the
 // simulation itself keeps running and still lands in the cache/store.
 //
-// Sweeps (`sweep` op) expand a config x benchmark matrix into cells, skip
-// every cell already checkpointed in the store, and run the missing ones
-// with per-cell store checkpoints — killing the daemon mid-sweep and
-// resubmitting the sweep completes only the missing cells.
+// Sweeps (`sweep` op) expand into cells with the shared planner
+// (serve/sweep.hpp), skip every cell already checkpointed in the store,
+// and run the missing ones with per-cell store checkpoints — killing the
+// daemon mid-sweep and resubmitting the sweep completes only the missing
+// cells.
 #pragma once
 
 #include <array>
@@ -87,20 +86,6 @@ class Server : public LineService {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  using LineService::handle_line;
-  /// Handles one protocol request line, returning the response line
-  /// (without trailing newline). Never throws: malformed input becomes a
-  /// typed error response. Safe to call from many threads. The worker
-  /// tier never emits intermediate events; `emit` is unused (streamed
-  /// sweep progress is the router's job).
-  std::string handle_line(const std::string& line, const Emit& emit) override;
-
-  /// Stops admitting work; queued and in-flight simulations finish.
-  /// Idempotent. The SIGTERM path and the `shutdown` op land here.
-  void begin_drain() override;
-  bool draining() const override {
-    return draining_.load(std::memory_order_acquire);
-  }
   /// begin_drain() plus blocking until the scheduler has retired every
   /// accepted job.
   void drain() override;
@@ -117,13 +102,13 @@ class Server : public LineService {
   struct Flight;
   struct Job;
 
-  obs::json::Value handle_request(const obs::json::Value& request);
+  obs::json::Value handle_request(const std::string& op,
+                                  const obs::json::Value& request,
+                                  const std::string& line,
+                                  const Emit& emit) override;
   obs::json::Value do_run(const obs::json::Value& request);
   obs::json::Value do_sweep(const obs::json::Value& request);
   obs::json::Value do_get(const obs::json::Value& request);
-  obs::json::Value do_list() const;
-  obs::json::Value do_pareto(const obs::json::Value& request) const;
-  obs::json::Value do_stats() const;
   obs::json::Value do_merge(const obs::json::Value& request);
   obs::json::Value do_compact();
 
@@ -145,12 +130,8 @@ class Server : public LineService {
   std::size_t running_ = 0;  ///< Jobs handed to the pool, not yet retired.
   bool stop_ = false;
 
-  std::atomic<bool> draining_{false};
-
   // serve.* counters. Relaxed atomics: each is a statistic, not a
   // synchronization point.
-  std::atomic<std::uint64_t> requests_total_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> run_requests_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> store_hits_{0};

@@ -96,6 +96,36 @@ std::vector<StoreEntry> load_store_entries(const std::string& path,
   return entries;
 }
 
+std::vector<ParetoPoint> pareto_frontier(std::vector<ParetoPoint> points) {
+  std::sort(points.begin(), points.end(),
+            [](const ParetoPoint& a, const ParetoPoint& b) {
+              if (a.x != b.x) return a.x < b.x;
+              if (a.y != b.y) return a.y < b.y;
+              return a.key < b.key;
+            });
+  // Replicas of one key carry one result, so they sort next to each other.
+  points.erase(std::unique(points.begin(), points.end(),
+                           [](const ParetoPoint& a, const ParetoPoint& b) {
+                             return a.key == b.key;
+                           }),
+               points.end());
+  // O(n^2) dominance scan; store sizes are design-space sized (thousands),
+  // not traffic sized.
+  std::vector<ParetoPoint> frontier;
+  for (const ParetoPoint& candidate : points) {
+    bool dominated = false;
+    for (const ParetoPoint& other : points) {
+      if (other.x <= candidate.x && other.y <= candidate.y &&
+          (other.x < candidate.x || other.y < candidate.y)) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) frontier.push_back(candidate);
+  }
+  return frontier;
+}
+
 ResultStore::ResultStore(const std::string& path) : path_(path) {
   if (path_.empty()) return;
   {
@@ -279,27 +309,7 @@ std::vector<ParetoPoint> ResultStore::pareto(std::string_view metric_x,
       points.push_back(std::move(p));
     }
   }
-  // O(n^2) dominance scan; store sizes are design-space sized (thousands),
-  // not traffic sized.
-  std::vector<ParetoPoint> frontier;
-  for (const ParetoPoint& candidate : points) {
-    bool dominated = false;
-    for (const ParetoPoint& other : points) {
-      if (other.x <= candidate.x && other.y <= candidate.y &&
-          (other.x < candidate.x || other.y < candidate.y)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) frontier.push_back(candidate);
-  }
-  std::sort(frontier.begin(), frontier.end(),
-            [](const ParetoPoint& a, const ParetoPoint& b) {
-              if (a.x != b.x) return a.x < b.x;
-              if (a.y != b.y) return a.y < b.y;
-              return a.key < b.key;
-            });
-  return frontier;
+  return pareto_frontier(std::move(points));
 }
 
 std::size_t ResultStore::size() const {

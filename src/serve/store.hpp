@@ -78,6 +78,12 @@ struct ParetoPoint {
   double y = 0.0;
 };
 
+/// The points no other point dominates, minimizing (x, y): a point
+/// survives iff no other point is <= on both axes and < on one. Points
+/// sharing a key (one result replicated across stores) count once. Returned
+/// sorted by x, then y, then key.
+std::vector<ParetoPoint> pareto_frontier(std::vector<ParetoPoint> points);
+
 class ResultStore {
  public:
   /// Opens (creating if missing) the JSONL store at `path`, loads every
@@ -121,10 +127,9 @@ class ResultStore {
   };
   std::vector<Brief> list() const;
 
-  /// Pareto frontier minimizing (metric_x, metric_y) over every stored
-  /// result (core::result_metric names). A point survives iff no other
-  /// point is <= on both axes and < on one. Returned sorted by x then y.
-  /// Throws std::logic_error on unknown metric names.
+  /// pareto_frontier over every stored result, minimizing (metric_x,
+  /// metric_y) (core::result_metric names). Throws std::logic_error on
+  /// unknown metric names.
   std::vector<ParetoPoint> pareto(std::string_view metric_x,
                                   std::string_view metric_y) const;
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/serde.hpp"
+#include "scratch_path.hpp"
 #include "sim_result_eq.hpp"
 #include "trace/capture.hpp"
 #include "trace/fit/fit.hpp"
@@ -32,10 +33,6 @@ namespace {
 
 using workload::OpKind;
 using workload::WorkloadProfile;
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_fit_test_" + name;
-}
 
 workload::Op compute(std::uint32_t count, double ipc = 1.0) {
   return {.kind = OpKind::kCompute, .count = count, .addr = 0, .ipc = ipc};
@@ -52,7 +49,7 @@ workload::Op store(mem::Addr addr) {
 /// Writes a hand-built trace: one op vector per thread.
 std::string write_trace(const std::string& name,
                         const std::vector<std::vector<workload::Op>>& threads) {
-  const std::string path = temp_path(name);
+  const std::string path = test::scratch_path(name);
   trace::TraceHeader header;
   header.thread_count = static_cast<std::uint32_t>(threads.size());
   header.benchmark = "handmade";
@@ -67,7 +64,7 @@ std::string write_trace(const std::string& name,
 /// Records the radix benchmark small and fits it — the shared fixture for
 /// the round-trip and synthesis tests.
 WorkloadProfile fitted_radix(double scale = 0.02, std::uint32_t threads = 4) {
-  const std::string path = temp_path("radix_fixture.rspt");
+  const std::string path = test::scratch_path("radix_fixture.rspt");
   trace::record_benchmark(workload::benchmark("radix"), threads, scale, 7,
                           path);
   const trace::TraceData data = trace::load_trace(path);
@@ -172,7 +169,7 @@ TEST(FitProfile, JsonRoundTripsByteStably) {
 
 TEST(FitProfile, SaveAndLoadFileForms) {
   const WorkloadProfile p = fitted_radix();
-  const std::string path = temp_path("profile.json");
+  const std::string path = test::scratch_path("profile.json");
   trace::fit::save_profile(p, path);
   const WorkloadProfile loaded = trace::fit::load_profile(path);
   EXPECT_EQ(trace::fit::profile_to_json(loaded).dump(),
@@ -180,7 +177,7 @@ TEST(FitProfile, SaveAndLoadFileForms) {
   std::remove(path.c_str());
 
   try {
-    trace::fit::load_profile(temp_path("missing_profile.json"));
+    trace::fit::load_profile(test::scratch_path("missing_profile.json"));
     FAIL() << "expected TraceError";
   } catch (const trace::TraceError& e) {
     EXPECT_EQ(e.kind(), trace::TraceErrorKind::kIo);
@@ -246,7 +243,7 @@ TEST(SynthFromProfile, ThreadsShareIdenticalBarrierSchedules) {
 // histogram within 0.15 total-variation distance.
 TEST(SynthFromProfile, FitOfSynthReproducesProfileWithinTolerance) {
   const WorkloadProfile p = fitted_radix(/*scale=*/0.05);
-  const std::string path = temp_path("synth_rt.rspt");
+  const std::string path = test::scratch_path("synth_rt.rspt");
   trace::fit::synthesize_trace(p, p.thread_count, 1.0, 11, path);
   const WorkloadProfile q =
       trace::fit::fit_trace(trace::load_trace(path));
@@ -277,7 +274,7 @@ TEST(SynthFromProfile, FitOfSynthReproducesProfileWithinTolerance) {
 
 TEST(SynthReplay, SynthesizedTraceReplaysBitIdenticallyToLiveRun) {
   const WorkloadProfile p = fitted_radix();
-  const std::string path = temp_path("synth_replay.rspt");
+  const std::string path = test::scratch_path("synth_replay.rspt");
   trace::fit::synthesize_trace(p, /*thread_count=*/4, 1.0, 5, path);
   const trace::TraceData data = trace::load_trace(path);
 

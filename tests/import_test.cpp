@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "scratch_path.hpp"
 #include "sim_result_eq.hpp"
 #include "trace/capture.hpp"
 #include "trace/import/import.hpp"
@@ -21,12 +22,9 @@
 namespace respin {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_import_test_" + name;
-}
-
 std::string write_text(const std::string& name, const std::string& content) {
-  const std::string path = temp_path(name);
+  // The basename carries the prefix: it becomes the default trace label.
+  const std::string path = test::scratch_path("respin_import_test_" + name);
   std::ofstream os(path, std::ios::trunc);
   os << content;
   EXPECT_TRUE(os.good()) << path;
@@ -46,7 +44,7 @@ trace::ImportErrorKind import_error_kind(const std::string& name,
                                          const trace::ImportOptions& options =
                                              {}) {
   const std::string in = write_text(name, content);
-  const std::string out = temp_path(name + ".rspt");
+  const std::string out = test::scratch_path(name + ".rspt");
   try {
     trace::import_trace("hybridsim", in, out, options);
   } catch (const trace::ImportError& e) {
@@ -72,7 +70,7 @@ constexpr const char* kMini =
 
 TEST(ImportHybridSim, ConvertsMultiCoreTextToNativeTrace) {
   const std::string in = write_text("mini.hst", kMini);
-  const std::string out = temp_path("mini.rspt");
+  const std::string out = test::scratch_path("mini.rspt");
   const trace::ImportStats stats = trace::import_trace("hybridsim", in, out);
 
   EXPECT_EQ(stats.cores_seen, 2u);
@@ -124,7 +122,7 @@ TEST(ImportHybridSim, PadsCoreCountToReplayableClusterSize) {
                                     "0 1 0x100 R\n"
                                     "1 2 0x200 W\n"
                                     "2 3 0x300 R\n");
-  const std::string out = temp_path("three.rspt");
+  const std::string out = test::scratch_path("three.rspt");
   const trace::ImportStats stats = trace::import_trace("hybridsim", in, out);
   EXPECT_EQ(stats.cores_seen, 3u);
   EXPECT_EQ(stats.thread_count, 4u);  // Padded to the next cluster size.
@@ -143,7 +141,7 @@ TEST(ImportHybridSim, ClampsPathologicalTimestampGaps) {
   const std::string in = write_text("gap.hst",
                                     "0 0 0x100 R\n"
                                     "0 9999999 0x140 R\n");
-  const std::string out = temp_path("gap.rspt");
+  const std::string out = test::scratch_path("gap.rspt");
   trace::import_trace("hybridsim", in, out, options);
   const trace::TraceData data = trace::load_trace(out);
   ASSERT_GE(data.threads[0].ops.size(), 3u);
@@ -155,8 +153,8 @@ TEST(ImportHybridSim, ClampsPathologicalTimestampGaps) {
 
 TEST(ImportHybridSim, SameInputYieldsByteIdenticalTraces) {
   const std::string in = write_text("det.hst", kMini);
-  const std::string out1 = temp_path("det1.rspt");
-  const std::string out2 = temp_path("det2.rspt");
+  const std::string out1 = test::scratch_path("det1.rspt");
+  const std::string out2 = test::scratch_path("det2.rspt");
   trace::ImportOptions options;
   options.name = "det";  // Pin the label so both conversions match fully.
   trace::import_trace("hybridsim", in, out1, options);
@@ -185,7 +183,7 @@ TEST(ImportHybridSim, PaddedThreadCountFollowsClusterContract) {
 
 TEST(ImportReplay, ImportedTraceReplaysBitIdentically) {
   const std::string in = write_text("replay.hst", kMini);
-  const std::string out = temp_path("replay.rspt");
+  const std::string out = test::scratch_path("replay.rspt");
   trace::import_trace("hybridsim", in, out);
 
   // Two independent loads + replays of the same file must agree bit for
@@ -247,7 +245,7 @@ TEST(ImportErrors, BackwardsTimestampIsInterleavingViolation) {
       "0 100 0x3000 R\n";  // Core 0 went backwards.
   try {
     const std::string in = write_text("order.hst", bad);
-    const std::string out = temp_path("order.rspt");
+    const std::string out = test::scratch_path("order.rspt");
     trace::import_trace("hybridsim", in, out);
     FAIL() << "expected ImportError";
   } catch (const trace::ImportError& e) {
@@ -265,8 +263,8 @@ TEST(ImportErrors, EmptyInputIsTyped) {
 
 TEST(ImportErrors, MissingFileIsIo) {
   try {
-    trace::import_trace("hybridsim", temp_path("does_not_exist.hst"),
-                        temp_path("x.rspt"));
+    trace::import_trace("hybridsim", test::scratch_path("does_not_exist.hst"),
+                        test::scratch_path("x.rspt"));
     FAIL() << "expected ImportError";
   } catch (const trace::ImportError& e) {
     EXPECT_EQ(e.kind(), trace::ImportErrorKind::kIo);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +20,14 @@
 #include "core/experiment.hpp"
 #include "core/serde.hpp"
 #include "obs/json.hpp"
+#include "scratch_path.hpp"
 #include "serve/cost_model.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "sim_result_eq.hpp"
+#include "trace/capture.hpp"
+#include "trace/fit/fit.hpp"
+#include "trace/reader.hpp"
 #include "workload/workload.hpp"
 
 namespace respin::serve {
@@ -30,9 +35,19 @@ namespace {
 
 namespace obsj = obs::json;
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_router_test_" + name;
-}
+/// A worker that records every line it is sent and answers each with a
+/// freshly simulated success: what the router forwards, without a server.
+class RecordingWorker : public WorkerBackend {
+ public:
+  std::string name() const override { return "recording"; }
+  std::string call(const std::string& line) override {
+    std::lock_guard<std::mutex> lock(mu);
+    lines.push_back(line);
+    return "{\"ok\":true,\"op\":\"run\",\"source\":\"sim\"}";
+  }
+  std::mutex mu;
+  std::vector<std::string> lines;
+};
 
 /// A worker whose transport always fails — the failover scenarios.
 class DeadWorker : public WorkerBackend {
@@ -212,6 +227,94 @@ TEST(RouterSweep, StreamsProgressEventsAndTalliesPerWorker) {
   }
 }
 
+/// Records radix small into a scratch trace and returns its path.
+std::string record_radix_trace() {
+  const std::string path = test::scratch_path("radix.rspt");
+  trace::record_benchmark(workload::benchmark("radix"), 4, 0.05, 7, path);
+  return path;
+}
+
+/// Sweeps `workload` (the request's workload-reference fields) over two
+/// configs, once on a single worker and once through a 2-worker tier. A
+/// trace or profile file fixes the workload axis, so both must run one
+/// cell per config, with the same keys and bit-identical results.
+void expect_routed_sweep_matches_single_worker(const std::string& workload) {
+  const std::string sweep_line =
+      "{\"op\":\"sweep\",\"configs\":[\"SH-STT\",\"PR-SRAM-NT\"]," +
+      workload + "}";
+  ServerConfig single_config;
+  single_config.store_path.clear();
+  Server single(single_config);
+  const obsj::Value direct = obsj::parse(single.handle_line(sweep_line));
+  ASSERT_TRUE(direct.find("ok")->as_bool()) << direct.dump();
+  EXPECT_EQ(direct.find("cells")->as_u64(), 2u);
+
+  LocalTier tier(2);
+  const obsj::Value routed = ask(*tier.router, sweep_line);
+  ASSERT_TRUE(routed.find("ok")->as_bool()) << routed.dump();
+  EXPECT_EQ(routed.find("cells")->as_u64(), 2u);
+  EXPECT_EQ(routed.find("ran")->as_u64(), 2u);
+  EXPECT_EQ(routed.find("failed")->as_u64(), 0u);
+
+  std::size_t routed_keys = 0;
+  for (const auto& server : tier.servers) {
+    for (const ResultStore::Brief& brief : server->store().list()) {
+      ++routed_keys;
+      const std::optional<core::SimResult> want = single.store().get(brief.key);
+      ASSERT_TRUE(want.has_value()) << brief.key;
+      core::expect_same_result(*want, *server->store().get(brief.key));
+    }
+  }
+  EXPECT_EQ(routed_keys, single.store().size());
+}
+
+TEST(RouterSweep, TraceFileSweepMatchesASingleWorker) {
+  const std::string trace_path = record_radix_trace();
+  const std::string workload = "\"trace_file\":\"" + trace_path + "\"";
+  expect_routed_sweep_matches_single_worker(workload);
+  std::remove(trace_path.c_str());
+}
+
+TEST(RouterSweep, ProfileFileSweepMatchesASingleWorker) {
+  const std::string trace_path = record_radix_trace();
+  const std::string profile_path = test::scratch_path("radix_profile.json");
+  const workload::WorkloadProfile profile =
+      trace::fit::fit_trace(trace::load_trace(trace_path));
+  trace::fit::save_profile(profile, profile_path);
+  const std::string workload =
+      "\"profile_file\":\"" + profile_path + "\",\"scale\":0.05";
+  expect_routed_sweep_matches_single_worker(workload);
+  std::remove(trace_path.c_str());
+  std::remove(profile_path.c_str());
+}
+
+// cycle_skip is not part of a key, but each forwarded cell must still
+// carry it: a "cycle_skip":false sweep asks for the reference path.
+TEST(RouterSweep, ForwardsCycleSkipInEveryCell) {
+  auto owned = std::make_unique<RecordingWorker>();
+  RecordingWorker& worker = *owned;
+  std::vector<std::unique_ptr<WorkerBackend>> backends;
+  backends.push_back(std::move(owned));
+  Router router(RouterConfig{}, std::move(backends));
+
+  for (const bool cycle_skip : {false, true}) {
+    worker.lines.clear();
+    const std::string line =
+        std::string("{\"op\":\"sweep\",\"configs\":[\"SH-STT\"],") +
+        "\"benchmarks\":[\"ocean\",\"radix\"],\"cycle_skip\":" +
+        (cycle_skip ? "true" : "false") + "}";
+    const obsj::Value sweep = ask(router, line);
+    ASSERT_TRUE(sweep.find("ok")->as_bool()) << sweep.dump();
+    EXPECT_EQ(sweep.find("ran")->as_u64(), 2u);
+    ASSERT_EQ(worker.lines.size(), 2u);
+    for (const std::string& line : worker.lines) {
+      const core::RequestSpec forwarded =
+          core::request_spec_from_json(obsj::parse(line));
+      EXPECT_EQ(forwarded.options.cycle_skip, cycle_skip) << line;
+    }
+  }
+}
+
 TEST(RouterFailover, KeyedRequestsFailOverSweepCellsDoNot) {
   // Worker 0 is dead; worker 1 is healthy.
   ServerConfig worker_config;
@@ -336,9 +439,9 @@ TEST(RouterQueries, ListParetoAndStatsMergeAcrossWorkers) {
 TEST(RouterMerge, FansOutToEveryWorkerStore) {
   // Two workers with durable stores; a third log merges into both, so
   // any shard can answer the merged keys (replication after failover).
-  const std::string store0 = temp_path("merge_w0.jsonl");
-  const std::string store1 = temp_path("merge_w1.jsonl");
-  const std::string side = temp_path("merge_side.jsonl");
+  const std::string store0 = test::scratch_path("merge_w0.jsonl");
+  const std::string store1 = test::scratch_path("merge_w1.jsonl");
+  const std::string side = test::scratch_path("merge_side.jsonl");
   for (const std::string& p : {store0, store1, side}) std::remove(p.c_str());
   {
     ResultStore source(side);
@@ -419,7 +522,7 @@ TEST(CostModel, BacksOffThroughTheHierarchy) {
 }
 
 TEST(CostModel, SeedsFromAStoreLog) {
-  const std::string path = temp_path("cost_seed.jsonl");
+  const std::string path = test::scratch_path("cost_seed.jsonl");
   std::remove(path.c_str());
   {
     ResultStore store(path);

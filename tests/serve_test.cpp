@@ -17,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "core/serde.hpp"
 #include "obs/json.hpp"
+#include "scratch_path.hpp"
 #include "serve/cache.hpp"
 #include "serve/net.hpp"
 #include "serve/store.hpp"
@@ -26,10 +27,6 @@ namespace respin::serve {
 namespace {
 
 namespace obsj = obs::json;
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_serve_test_" + name;
-}
 
 ServerConfig ephemeral_config() {
   ServerConfig config;
@@ -194,7 +191,7 @@ TEST(ServeDeadline, TimedOutRequestStillCompletesAndCaches) {
 // Acceptance: killing a sweep mid-run and restarting resumes from the
 // checkpointed store, completing only the missing cells.
 TEST(ServeSweep, ResumesFromCheckpointedStoreAfterRestart) {
-  const std::string store_path = temp_path("sweep_store.jsonl");
+  const std::string store_path = test::scratch_path("sweep_store.jsonl");
   std::remove(store_path.c_str());
   const std::string sweep_line =
       "{\"op\":\"sweep\",\"configs\":[\"SH-STT\",\"PR-SRAM-NT\"],"

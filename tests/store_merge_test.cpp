@@ -18,13 +18,10 @@
 
 #include "core/serde.hpp"
 #include "obs/json.hpp"
+#include "scratch_path.hpp"
 
 namespace respin::serve {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_store_merge_test_" + name;
-}
 
 /// A distinguishable fabricated result: `cycles` is the payload the
 /// assertions compare.
@@ -55,10 +52,10 @@ std::vector<std::pair<std::string, std::uint64_t>> snapshot(
 class StoreMergeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_a_ = temp_path("a.jsonl");
-    path_b_ = temp_path("b.jsonl");
-    path_c_ = temp_path("c.jsonl");
-    path_d_ = temp_path("d.jsonl");
+    path_a_ = test::scratch_path("a.jsonl");
+    path_b_ = test::scratch_path("b.jsonl");
+    path_c_ = test::scratch_path("c.jsonl");
+    path_d_ = test::scratch_path("d.jsonl");
     for (const std::string& p : {path_a_, path_b_, path_c_, path_d_}) {
       std::remove(p.c_str());
     }

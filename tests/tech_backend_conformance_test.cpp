@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +38,17 @@ ArrayConfig base_config(MemTech tech) {
 }
 
 class Conformance : public ::testing::TestWithParam<const TechBackend*> {};
+
+}  // namespace
+
+// gtest prints a pointer parameter as its address, and that text becomes
+// part of each discovered ctest name; print the backend name instead so
+// the names are the same on every build and run.
+void PrintTo(const TechBackend* backend, std::ostream* os) {
+  *os << backend->name();
+}
+
+namespace {
 
 TEST_P(Conformance, ReproducesAnchorsToFourSignificantDigits) {
   const TechBackend& backend = *GetParam();

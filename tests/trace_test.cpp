@@ -18,6 +18,7 @@
 #include "core/metrics.hpp"
 #include "core/oracle.hpp"
 #include "obs/golden.hpp"
+#include "scratch_path.hpp"
 #include "sim_result_eq.hpp"
 #include "trace/capture.hpp"
 #include "trace/reader.hpp"
@@ -28,10 +29,6 @@
 
 namespace respin {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "respin_trace_test_" + name;
-}
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -61,7 +58,7 @@ trace::TraceErrorKind load_error_kind(const std::string& path) {
 /// A small recorded trace shared by the format tests.
 std::string record_small(const std::string& name, std::uint32_t threads = 4,
                          double scale = 0.02) {
-  const std::string path = temp_path(name);
+  const std::string path = test::scratch_path(name);
   trace::record_benchmark(workload::benchmark("radix"), threads, scale, 7,
                           path);
   return path;
@@ -128,7 +125,7 @@ TEST(TraceFormat, ChunkIteratorSeesEveryChunkOnce) {
 }
 
 TEST(TraceFormat, WriterRejectsOutOfRangeThread) {
-  const std::string path = temp_path("badthread.rspt");
+  const std::string path = test::scratch_path("badthread.rspt");
   trace::TraceHeader header;
   header.thread_count = 2;
   header.benchmark = "x";
@@ -219,7 +216,7 @@ TEST(TraceRobustness, TrailingGarbageIsTyped) {
 }
 
 TEST(TraceRobustness, UnknownRecordTagIsTyped) {
-  const std::string path = temp_path("badtag.rspt");
+  const std::string path = test::scratch_path("badtag.rspt");
   trace::TraceHeader header;
   header.thread_count = 1;
   header.benchmark = "x";
@@ -240,7 +237,7 @@ TEST(TraceRobustness, UnknownRecordTagIsTyped) {
 }
 
 TEST(TraceRobustness, OversizedChunkLengthIsTypedNotAllocated) {
-  const std::string path = temp_path("bigchunk.rspt");
+  const std::string path = test::scratch_path("bigchunk.rspt");
   trace::TraceHeader header;
   header.thread_count = 1;
   header.benchmark = "x";
@@ -255,7 +252,7 @@ TEST(TraceRobustness, OversizedChunkLengthIsTypedNotAllocated) {
 }
 
 TEST(TraceRobustness, MissingFileIsTyped) {
-  EXPECT_EQ(load_error_kind(temp_path("does_not_exist.rspt")),
+  EXPECT_EQ(load_error_kind(test::scratch_path("does_not_exist.rspt")),
             trace::TraceErrorKind::kIo);
 }
 
@@ -329,7 +326,7 @@ class TraceReplayEquivalence : public testing::TestWithParam<const char*> {};
 // live synthetic run for every Table IV configuration.
 TEST_P(TraceReplayEquivalence, BitIdenticalAcrossAllConfigs) {
   const std::string benchmark = GetParam();
-  const std::string path = temp_path("replay_" + benchmark + ".rspt");
+  const std::string path = test::scratch_path("replay_" + benchmark + ".rspt");
   trace::record_benchmark(workload::benchmark(benchmark), 8, 0.04, 1, path);
   const trace::TraceData data = trace::load_trace(path);
 
@@ -361,7 +358,7 @@ TEST(TraceReplay, RecordingWrapperIsTransparentToTheSimulation) {
   core::ClusterSim plain(config, spec, params);
   plain.run();
 
-  const std::string path = temp_path("teerecord.rspt");
+  const std::string path = test::scratch_path("teerecord.rspt");
   trace::TraceHeader header;
   header.thread_count = 8;
   header.seed = 1;
