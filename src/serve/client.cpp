@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,6 +65,10 @@ void LineClient::connect() {
     throw std::runtime_error("connect to " + host_ + ":" +
                              std::to_string(port_) + " failed: " + reason);
   }
+  // Request lines are small writes; send each at once instead of letting
+  // Nagle wait on the worker's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   buffer_.clear();
 }

@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -207,6 +208,9 @@ int serve_tcp(LineService& service, std::uint16_t port, std::ostream& log,
     if ((fds[0].revents & POLLIN) != 0) {
       const int client_fd = ::accept(listen_fd, nullptr, nullptr);
       if (client_fd < 0) continue;
+      // Each response is its own small write; without this, Nagle holds a
+      // pipelined second response until the client's delayed ACK (~40 ms).
+      ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       registry.add(client_fd);
       connections.emplace_back(serve_connection, std::ref(service),
                                std::ref(registry), client_fd);

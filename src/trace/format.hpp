@@ -162,7 +162,8 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// IEEE CRC32 (the zlib/PNG polynomial), no external dependency.
+/// IEEE CRC32 (the zlib/PNG polynomial), no external dependency. Sliced
+/// eight bytes at a time; input words are assembled byte by byte.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 inline std::uint32_t crc32(const std::vector<std::uint8_t>& bytes) {
   return crc32(bytes.data(), bytes.size());

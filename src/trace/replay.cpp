@@ -63,8 +63,14 @@ core::SimResult replay_trace(core::ConfigId id, const TraceData& data,
   params.seed = data.header.seed;
   params.cycle_skip = options.cycle_skip;
 
-  auto shared = std::make_shared<const TraceData>(data);
-  core::ClusterSim sim(config, data.header.benchmark, trace_factory(shared),
+  // Borrow `data` through an owner-less aliasing handle instead of copying
+  // it: concurrent replays of one loaded trace then share a single decoded
+  // copy. This is safe because `sim` and every oracle snapshot cloned from
+  // it (the only holders of the handle) are destroyed before this function
+  // returns; SimResult keeps no reference into the trace.
+  const std::shared_ptr<const TraceData> borrowed(
+      std::shared_ptr<const TraceData>(), &data);
+  core::ClusterSim sim(config, data.header.benchmark, trace_factory(borrowed),
                        params);
   if (config.governor == core::GovernorKind::kOracle) {
     return core::run_with_oracle(

@@ -60,9 +60,11 @@ struct ReplayOptions {
 };
 
 /// Runs `data` through configuration `id` exactly as run_experiment runs
-/// the live synthetic workload (oracle configurations included). Throws
-/// TraceError(kMismatch) when the configuration's cluster_cores disagrees
-/// with the trace's thread count.
+/// the live synthetic workload (oracle configurations included). Reads
+/// `data` in place without copying it, so any number of threads may
+/// replay one loaded trace concurrently. Throws TraceError(kMismatch) when
+/// the configuration's cluster_cores disagrees with the trace's thread
+/// count.
 core::SimResult replay_trace(core::ConfigId id, const TraceData& data,
                              const ReplayOptions& options = {});
 

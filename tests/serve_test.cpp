@@ -6,10 +6,20 @@
 // store durability across daemon restarts.
 #include "serve/server.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -322,6 +332,123 @@ TEST(ServeStdio, DrivesServerOverStreams) {
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_TRUE(obsj::parse(line).find("ok")->as_bool());
   EXPECT_TRUE(server.draining());
+}
+
+/// A log sink that serve_tcp may write from its own thread while the test
+/// waits for the "listening on port N" banner.
+class BannerLog : public std::streambuf {
+ public:
+  /// The bound port, once the banner is complete; 0 after a 10 s timeout.
+  std::uint16_t wait_for_port() {
+    static const std::string kBanner = "listening on port ";
+    std::unique_lock<std::mutex> lock(mu_);
+    std::size_t at = std::string::npos;
+    const bool complete = cv_.wait_for(lock, std::chrono::seconds(10), [&] {
+      at = text_.find(kBanner);
+      return at != std::string::npos &&
+             text_.find('\n', at) != std::string::npos;
+    });
+    if (!complete) return 0;
+    return static_cast<std::uint16_t>(
+        std::stoul(text_.substr(at + kBanner.size())));
+  }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c != traits_type::eof()) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      text_.append(s, static_cast<std::size_t>(n));
+    }
+    cv_.notify_all();
+    return n;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string text_;
+};
+
+/// Reads one newline-terminated line from `fd` into `line`, keeping any
+/// bytes past the newline in `buffer`.
+bool recv_line(int fd, std::string& buffer, std::string& line) {
+  char chunk[4096];
+  for (;;) {
+    const std::size_t nl = buffer.find('\n');
+    if (nl != std::string::npos) {
+      line = buffer.substr(0, nl);
+      buffer.erase(0, nl + 1);
+      return true;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// Connects to the loopback `port` and times `pairs` rounds of two pings
+/// written in one send, each round ending when both replies are in.
+/// Returns fewer times than `pairs` if the connection fails.
+std::vector<double> pipelined_ping_pairs_ms(std::uint16_t port, int pairs) {
+  std::vector<double> pair_ms;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return pair_ms;
+  // The client side sends at once, so only the daemon's writes can stall.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+      0) {
+    const std::string pair = "{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n";
+    std::string buffer;
+    std::string line;
+    for (int i = 0; i < pairs; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      if (::send(fd, pair.data(), pair.size(), 0) !=
+          static_cast<ssize_t>(pair.size())) {
+        break;
+      }
+      if (!recv_line(fd, buffer, line) || !recv_line(fd, buffer, line)) break;
+      pair_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    }
+  }
+  ::close(fd);
+  return pair_ms;
+}
+
+// Two requests written back to back on one connection get two responses
+// written back to back. Unless the daemon's sockets disable Nagle, the
+// second response waits for the client's delayed ACK (about 40 ms on
+// Linux), so a pipelined pair of pings would take ~40 ms instead of well
+// under one.
+TEST(ServeTcp, PipelinedPairsDoNotWaitForDelayedAck) {
+  Server server(ephemeral_config());
+  BannerLog log_buf;
+  std::ostream log(&log_buf);
+  std::thread daemon([&] { serve_tcp(server, 0, log, "test"); });
+  const std::uint16_t port = log_buf.wait_for_port();
+  std::vector<double> pair_ms =
+      port != 0 ? pipelined_ping_pairs_ms(port, 20) : std::vector<double>{};
+  server.handle_line("{\"op\":\"shutdown\"}");
+  daemon.join();
+
+  ASSERT_NE(port, 0) << "serve_tcp never reported its port";
+  ASSERT_EQ(pair_ms.size(), 20u) << "the connection failed";
+  std::sort(pair_ms.begin(), pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
+      << "median pipelined pair time; slowest " << pair_ms.back() << " ms";
 }
 
 TEST(ServeLruCache, EvictsLeastRecentlyUsed) {

@@ -17,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
 #include "core/oracle.hpp"
+#include "exec/parallel.hpp"
 #include "obs/golden.hpp"
 #include "scratch_path.hpp"
 #include "sim_result_eq.hpp"
@@ -137,6 +138,44 @@ TEST(TraceFormat, WriterRejectsOutOfRangeThread) {
     EXPECT_EQ(e.kind(), trace::TraceErrorKind::kBadRecord);
   }
   std::remove(path.c_str());
+}
+
+TEST(TraceFormat, Crc32KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(trace::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                         check.size()),
+            0xCBF4'3926u);
+  EXPECT_EQ(trace::crc32(nullptr, 0), 0u);
+}
+
+/// Bit-at-a-time IEEE CRC32: the definition the sliced version must match.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFF'FFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFF'FFFFu;
+}
+
+// Every length 0..64 (the 8-byte body plus each tail length) from every
+// start offset 0..7, so no input alignment is assumed.
+TEST(TraceFormat, Crc32MatchesBytewiseReference) {
+  std::vector<std::uint8_t> bytes(64 + 8);
+  std::uint32_t x = 0x1234'5678u;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = bytes.data() + start;
+      EXPECT_EQ(trace::crc32(p, len), crc32_bitwise(p, len))
+          << "start " << start << " length " << len;
+    }
+  }
 }
 
 // ---- Malformed-input robustness ------------------------------------------
@@ -343,6 +382,33 @@ TEST_P(TraceReplayEquivalence, BitIdenticalAcrossAllConfigs) {
 
 INSTANTIATE_TEST_SUITE_P(Benchmarks, TraceReplayEquivalence,
                          testing::Values("radix", "raytrace"));
+
+// A sweep that loads a trace once and fans the eight Table IV
+// configurations out over the host pool. Replays read the trace in place,
+// so they share it across pool threads; each result must still match a
+// serial replay bit for bit.
+TEST(SharedTraceReplay, ConcurrentReplaysMatchSerial) {
+  const std::string path = test::scratch_path("shared_radix.rspt");
+  trace::record_benchmark(workload::benchmark("radix"), 8, 0.02, 3, path);
+  const trace::TraceData data = trace::load_trace(path);
+  const std::vector<core::ConfigId> all = core::all_config_ids();
+  const std::vector<core::ConfigId> table_iv(all.begin(), all.begin() + 8);
+
+  std::vector<core::SimResult> serial;
+  for (const core::ConfigId id : table_iv) {
+    serial.push_back(trace::replay_trace(id, data));
+  }
+  exec::ThreadPool pool(4);
+  const std::vector<core::SimResult> concurrent =
+      exec::parallel_map(pool, table_iv, [&](core::ConfigId id) {
+        return trace::replay_trace(id, data);
+      });
+  ASSERT_EQ(concurrent.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(trace::diff_results(serial[i], concurrent[i]), "")
+        << core::to_string(table_iv[i]);
+  }
+}
 
 TEST(TraceReplay, RecordingWrapperIsTransparentToTheSimulation) {
   // A live simulation whose streams are tee'd through RecordingOpSource
