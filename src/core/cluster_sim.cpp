@@ -54,6 +54,8 @@ ClusterSim::ClusterSim(ClusterConfig config, std::string benchmark_name,
     host_of_[c] = c;
   }
   efficiency_order_ = efficiency_ranking(cfg_.multipliers);
+  min_multiplier_ =
+      *std::min_element(cfg_.multipliers.begin(), cfg_.multipliers.end());
   active_count_ = cfg_.cluster_cores;
   powered_cores_ = cfg_.cluster_cores;
 
@@ -148,18 +150,14 @@ void ClusterSim::run() {
     step_cycle();
     if (governor_ && cfg_.governor != GovernorKind::kOracle &&
         at_epoch_boundary()) {
+      settle_skipped_ticks();
       on_epoch_boundary();
     }
   }
   // A run cut short by max_cycles can leave cores parked on a barrier
-  // that never completed; credit the idle polls they would have executed
-  // up to the horizon so the counters match the cycle-by-cycle clock.
-  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    if (parked_at_[c] == kNever) continue;
-    core_next_tick_[c] = parked_at_[c];
-    parked_at_[c] = kNever;
-    jump_idle_to(c, params_.max_cycles);
-  }
+  // that never completed. A finished run has no waiter left to settle
+  // (and a core powered up at its last boundary must keep its schedule).
+  if (!done()) settle_skipped_ticks();
   sync_power_integral();
 }
 
@@ -172,6 +170,7 @@ bool ClusterSim::run_one_epoch() {
     step_cycle();
     if (at_epoch_boundary()) {
       // Close the epoch's books but let the caller decide the next count.
+      settle_skipped_ticks();
       const power::ActivityCounts delta = current_counts() - epoch_counts_;
       const power::EnergyBreakdown energy =
           power::compute_energy(cfg_.power, delta,
@@ -191,8 +190,45 @@ bool ClusterSim::run_one_epoch() {
       return true;
     }
   }
+  if (!done()) settle_skipped_ticks();  // As at the end of run().
   sync_power_integral();
   return false;
+}
+
+void ClusterSim::settle_skipped_ticks() {
+  // The fast paths run ahead of the clock: an idle-elided core has its
+  // next tick past now_ with the polls in between already credited, and a
+  // barrier-parked core has no next tick at all. Where that state becomes
+  // observable — an epoch boundary (governor decision, oracle snapshot,
+  // epoch books) or the end of a run — put every powered core back on its
+  // first boundary at or after now_, which is where the cycle-by-cycle
+  // clock has it: a jumped core gives back the idles credited from there
+  // on (credits never reach past max_cycles, see jump_idle_to), a parked
+  // core is credited the polls it skipped up to there. Compute bursts
+  // need no settling: under observed epochs they are elided only inside
+  // a window that ends before the boundary (elide_compute_ticks). Gated
+  // cores do not tick at all; power_up_one reschedules them.
+  std::int64_t next = kNever;
+  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
+    if (parked_at_[c] != kNever) {
+      core_next_tick_[c] = parked_at_[c];
+      parked_at_[c] = kNever;
+      jump_idle_to(c, now_);
+    } else if (cores_[c].powered_on) {
+      const std::int64_t due = next_boundary_after(c, now_);
+      const std::int64_t tick = core_next_tick_[c];
+      if (tick > due) {
+        const std::int64_t credited_to =
+            std::min(tick, next_boundary_after(c, params_.max_cycles));
+        cores_[c].idle_cycles -=
+            static_cast<std::uint64_t>((credited_to - due) /
+                                       cores_[c].multiplier);
+        core_next_tick_[c] = due;
+      }
+    }
+    next = std::min(next, core_next_tick_[c]);
+  }
+  next_core_tick_ = next;
 }
 
 bool ClusterSim::at_epoch_boundary() const {
@@ -391,11 +427,13 @@ void ClusterSim::fast_forward_idle(std::uint32_t pid) {
   // Idle-tick elision: a stalled core whose wake-up cycle is exactly
   // computable ticks only idle until then, so its next_tick can jump
   // straight there with the skipped ticks credited to idle_cycles in one
-  // go. Requires a quiescent scheduling environment — a single resident
-  // thread (no rotation or context-switch bookkeeping on intermediate
-  // ticks) and no observed epochs (no mid-window power gating, migration
-  // or boundary sampling that could see the pre-credited idles).
-  if (!params_.cycle_skip || epoch_watched_) return;
+  // go. A barrier waiter whose release cycle is not fixed yet parks
+  // instead: no polls at all until the last arrival (arrive_barrier) or a
+  // settle wakes it. Requires a single resident thread (no rotation or
+  // context-switch bookkeeping on intermediate ticks). Power gating,
+  // migration and epoch sampling happen only at epoch boundaries, and
+  // settle_skipped_ticks() undoes the run-ahead there first.
+  if (!params_.cycle_skip) return;
   cpu::PhysicalCore& p = cores_[pid];
   if (p.vcores.size() != 1) return;
   const cpu::VirtualCore& v = vcores_[p.vcores.front()];
@@ -410,7 +448,11 @@ void ClusterSim::fast_forward_idle(std::uint32_t pid) {
     case cpu::WaitState::kBarrier:
       // Only once the barrier has completed is the release cycle fixed
       // (no further arrival can move it: every other thread is past it).
+      // Until then the waiter cannot progress before another core's tick
+      // brings the last arrival: park it.
       if (barrier_.completed < static_cast<std::int64_t>(v.barrier_id)) {
+        parked_at_[pid] = core_next_tick_[pid];
+        core_next_tick_[pid] = kNever;
         return;
       }
       ready = barrier_.last_release;
@@ -437,8 +479,7 @@ void ClusterSim::jump_idle_to(std::uint32_t pid, std::int64_t ready) {
   // Jump core `pid`'s next tick to its first boundary at or after `ready`,
   // crediting the boundary ticks in between as the idle polls the
   // cycle-by-cycle clock would have executed. Callers must have
-  // established eligibility (cycle_skip on, no observed epochs, single
-  // resident thread).
+  // established eligibility (cycle_skip on, single resident thread).
   cpu::PhysicalCore& p = cores_[pid];
   ready = std::max(ready, p.stalled_until);
   const std::int64_t wake = next_boundary_after(pid, ready);
@@ -460,23 +501,56 @@ void ClusterSim::elide_compute_ticks(std::uint32_t pid, std::uint32_t vid) {
   // Replay that recurrence here, tick for tick in the exact same IEEE
   // arithmetic, and jump the core's next boundary past the elided ticks.
   // Boundary ticks (op completion or an ifetch trigger) are left to the
-  // normal path so their side effects land on the right cycle. The
-  // eligibility guards mirror fast_forward_idle(): a quiescent scheduling
-  // environment with one resident thread and no observed epochs.
-  if (!params_.cycle_skip || epoch_watched_) return;
+  // normal path so their side effects land on the right cycle. As in
+  // fast_forward_idle(), the core must host a single resident thread.
+  //
+  // Unlike an idle jump, a burst cannot be settled after the fact (its
+  // instructions may be what triggers the boundary), so under observed
+  // epochs every elided tick must fall before the next boundary:
+  //   - OS epochs end at next_epoch_cycle_, so the window ends before it;
+  //   - instruction-count epochs end once counts_.instructions reaches
+  //     next_epoch_instructions_. The window [now_, tick] is elided only
+  //     while the most it can commit stays below that count, so no cycle
+  //     in it can reach the boundary: issue_width per elided tick of this
+  //     core, plus issue_width + 1 (a returning load and a full issue
+  //     group) per tick of every other powered core, each ticking at most
+  //     (tick - now_) / min_multiplier_ + 1 times.
+  if (!params_.cycle_skip) return;
   cpu::PhysicalCore& p = cores_[pid];
   if (p.vcores.size() != 1) return;
   cpu::VirtualCore& v = vcores_[vid];
   if (v.state != cpu::WaitState::kRunnable) return;
 
   const std::int64_t m = p.multiplier;
+  std::int64_t horizon = params_.max_cycles;
+  if (epoch_watched_) {
+    if (cfg_.governor == GovernorKind::kOs) {
+      horizon = std::min(horizon, next_epoch_cycle_);
+    } else {
+      // With k elided ticks the window spans k * m cycles; scaled by
+      // mm = min_multiplier_ to stay integral, the bound above reads
+      //   (counts + iw * k) * mm + others * (k * m + mm) < limit * mm.
+      const auto mm = static_cast<std::uint64_t>(min_multiplier_);
+      const std::uint64_t iw = cfg_.core_timing.issue_width;
+      const std::uint64_t others = (iw + 1) * (powered_cores_ - 1);
+      const std::uint64_t reserve = (counts_.instructions + others) * mm;
+      const std::uint64_t limit = next_epoch_instructions_ * mm;
+      if (limit <= reserve) return;
+      const std::uint64_t max_ticks =
+          (limit - reserve - 1) /
+          (iw * mm + others * static_cast<std::uint64_t>(m));
+      horizon = std::min(
+          horizon, now_ + (static_cast<std::int64_t>(max_ticks) + 1) * m);
+    }
+  }
+
   std::int64_t tick = now_ + m;  // First candidate: the very next boundary.
   double acc = v.issue_accumulator;
   std::uint32_t remaining = v.compute_remaining;
   std::uint32_t until_fetch = v.until_fetch;
   std::uint64_t committed = 0;
   std::int64_t elided = 0;
-  while (tick < params_.max_cycles) {
+  while (tick < horizon) {
     // Evaluate the candidate tick without touching `acc`: a boundary tick
     // (op completion or ifetch trigger) must re-run this arithmetic on the
     // live vcore state, so its accumulator increment must not stick here.
@@ -571,7 +645,7 @@ void ClusterSim::execute_vcore(std::uint32_t pid, std::uint32_t vid) {
       if (!issue_store(pid, vid)) v.state = cpu::WaitState::kStoreBuffer;
       return;
     case workload::OpKind::kBarrier:
-      arrive_barrier(pid, vid);
+      arrive_barrier(vid);
       return;
   }
 }
@@ -692,7 +766,7 @@ bool ClusterSim::issue_store(std::uint32_t pid, std::uint32_t vid) {
   return true;
 }
 
-void ClusterSim::arrive_barrier(std::uint32_t pid, std::uint32_t vid) {
+void ClusterSim::arrive_barrier(std::uint32_t vid) {
   cpu::VirtualCore& v = vcores_[vid];
   // The arrival update (fetch-and-increment on the barrier line)
   // serializes across arriving cores; under private caches each arrival is
@@ -709,18 +783,8 @@ void ClusterSim::arrive_barrier(std::uint32_t pid, std::uint32_t vid) {
   v.has_op = false;
   ++barrier_.arrived;
 
-  if (barrier_.arrived < vcores_.size()) {
-    // The waiter cannot progress until the last thread arrives, and that
-    // arrival is another core's tick: park this core (no boundary polls at
-    // all) and let the completion branch below credit the skipped polls
-    // and schedule the wake-up. Same eligibility as fast_forward_idle.
-    if (params_.cycle_skip && !epoch_watched_ &&
-        cores_[pid].vcores.size() == 1) {
-      parked_at_[pid] = core_next_tick_[pid];
-      core_next_tick_[pid] = kNever;
-    }
-    return;
-  }
+  // A waiter parks in the step_core tail (fast_forward_idle).
+  if (barrier_.arrived < vcores_.size()) return;
 
   barrier_.completed = static_cast<std::int64_t>(v.barrier_id);
   barrier_.last_release =
@@ -972,6 +1036,8 @@ void ClusterSim::power_down_one() {
   cpu::PhysicalCore& p = cores_[victim];
   p.powered_on = false;
   p.run_index = 0;
+  // A gated core's ticks do nothing; stop them (power_up_one reschedules).
+  if (params_.cycle_skip) core_next_tick_[victim] = kNever;
   if (private_l1_) private_l1_->flush_core(victim, backside_);
   --powered_cores_;
   --active_count_;

@@ -199,8 +199,14 @@ class ClusterSim {
   void fast_forward_idle(std::uint32_t pid);
   /// Jumps `pid`'s next tick to its first boundary at or after `ready`,
   /// crediting the skipped boundary ticks as idle polls. Callers guard
-  /// eligibility (cycle_skip, no observed epochs, single resident thread).
+  /// eligibility (cycle_skip, single resident thread); under observed
+  /// epochs settle_skipped_ticks() takes back the credits that a jump
+  /// carried past the next boundary.
   void jump_idle_to(std::uint32_t pid, std::int64_t ready);
+  /// Brings every jumped or parked core back to its first boundary at or
+  /// after now_, so the epoch bookkeeping, the governor and an oracle
+  /// snapshot see exactly the cycle-by-cycle state (see the definition).
+  void settle_skipped_ticks();
   void execute_vcore(std::uint32_t pid, std::uint32_t vid);
   /// Replays the interior of a compute run in a tight loop (identical
   /// arithmetic, no per-tick cluster scan) and jumps the core's next
@@ -208,7 +214,7 @@ class ClusterSim {
   void elide_compute_ticks(std::uint32_t pid, std::uint32_t vid);
   void issue_load(std::uint32_t pid, std::uint32_t vid);
   bool issue_store(std::uint32_t pid, std::uint32_t vid);
-  void arrive_barrier(std::uint32_t pid, std::uint32_t vid);
+  void arrive_barrier(std::uint32_t vid);
   bool barrier_released(const cpu::VirtualCore& v) const;
   void commit_instructions(std::uint32_t pid, std::uint32_t vid,
                            std::uint32_t n);
@@ -242,8 +248,9 @@ class ClusterSim {
   /// it when the cache side is quiescent.
   std::int64_t next_core_tick_ = 0;
   /// True when epoch boundaries are observable (a governor is configured
-  /// or run_one_epoch drives the sim), which pins the clock to boundary
-  /// cycles so epoch bookkeeping matches the cycle-by-cycle schedule.
+  /// or run_one_epoch drives the sim). The clock then stops on boundary
+  /// cycles, each boundary settles the skipped ticks first, and compute
+  /// bursts are elided only inside a window the boundary cannot fall in.
   bool epoch_watched_ = false;
 
   std::vector<cpu::VirtualCore> vcores_;
@@ -254,8 +261,9 @@ class ClusterSim {
   /// Boundary tick a barrier-parked core would next have polled on, or
   /// kNever when the core is live. A parked core has core_next_tick_ set
   /// to kNever (no boundary polls while it waits); barrier completion —
-  /// or end-of-run reconciliation when max_cycles cuts the wait short —
-  /// restores the schedule and credits the skipped polls as idle ticks.
+  /// or settle_skipped_ticks() at an epoch boundary or at the end of a
+  /// run — restores the schedule and credits the skipped polls as idle
+  /// ticks.
   std::vector<std::int64_t> parked_at_;
   /// Set when a barrier completion moves another core's next tick backward
   /// (unparking): the fold-as-you-go minimum in the tick scan is then stale
@@ -263,6 +271,8 @@ class ClusterSim {
   bool tick_rescan_needed_ = false;
   std::vector<std::uint32_t> host_of_;  ///< vcore -> physical core.
   std::vector<std::uint32_t> efficiency_order_;
+  /// Fastest core clock multiplier: bounds how often any core can tick.
+  std::int64_t min_multiplier_ = 1;
   std::uint32_t active_count_ = 0;
   std::uint32_t finished_vcores_ = 0;
 

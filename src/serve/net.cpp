@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -97,11 +98,35 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// Longest request line a connection may leave unterminated. A client
+/// that streams more without a newline gets a typed `line_too_long` error
+/// and is disconnected, so one connection's buffer stays bounded.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Half-closes `fd` after a final response and discards what the client
+/// is still sending, for a bounded time. Closing with unread input would
+/// reset the connection, and a reset can destroy the response before the
+/// client reads it.
+void lingering_close(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  char sink[4096];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd p = {fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) break;  // Quiet or failed: give up.
+    if (::recv(fd, sink, sizeof(sink), 0) <= 0) break;
+  }
+}
+
 /// One connection: newline-framed requests in, one terminal response line
 /// each, intermediate event lines interleaved under the write lock.
 void serve_connection(LineService& service, ConnectionRegistry& registry,
                       int fd) {
   std::string buffer;
+  // Leading bytes of `buffer` already searched for a newline, so each
+  // chunk is scanned once however long the line grows.
+  std::size_t scanned = 0;
   char chunk[4096];
   std::mutex write_mu;
   const Emit emit = [&](const std::string& event) {
@@ -115,7 +140,7 @@ void serve_connection(LineService& service, ConnectionRegistry& registry,
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
+      const std::size_t nl = buffer.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
@@ -133,6 +158,21 @@ void serve_connection(LineService& service, ConnectionRegistry& registry,
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (buffer.size() > kMaxLineBytes) {
+      const std::string response =
+          error_response(nullptr, "line_too_long",
+                         "request line exceeds " +
+                             std::to_string(kMaxLineBytes) +
+                             " bytes without a newline")
+              .dump();
+      {
+        std::lock_guard<std::mutex> lock(write_mu);
+        (void)send_all(fd, response + "\n");
+      }
+      lingering_close(fd);
+      break;
+    }
   }
   registry.remove(fd);
   ::close(fd);

@@ -9,8 +9,11 @@
 #include <vector>
 
 #include "core/chip.hpp"
+#include "core/cluster_sim.hpp"
+#include "core/consolidation.hpp"
 #include "core/experiment.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/golden.hpp"
 #include "sim_result_eq.hpp"
 #include "util/stats.hpp"
 #include "workload/workload.hpp"
@@ -61,6 +64,107 @@ TEST(SkipEquivalence, RadixOnSharedAndPrivate) {
     expect_same_result(run_experiment(id, "radix", skip),
                        run_experiment(id, "radix", no_skip));
   }
+}
+
+// --- Governed runs: the fast paths settle at every epoch boundary ---------
+
+// A governed configuration with ~10x more epoch boundaries than the paper
+// setting, so boundaries land inside idle jumps, barrier waits and
+// compute bursts.
+ClusterConfig short_epoch_config(ConfigId id) {
+  ClusterConfig config = make_cluster_config(id, CacheSize::kMedium);
+  config.governor_params.epoch_instructions /= 10;
+  config.os_epoch_cycles /= 10;
+  return config;
+}
+
+void expect_same_counters(const ClusterSim& skip, const ClusterSim& ref) {
+  obs::MetricsRow skip_row{"sim", {}};
+  obs::MetricsRow ref_row{"sim", {}};
+  skip.collect_counters(skip_row.counters);
+  ref.collect_counters(ref_row.counters);
+  const obs::GoldenDiff diff = obs::diff_metrics({ref_row}, {skip_row});
+  EXPECT_TRUE(diff.ok()) << diff.report();
+}
+
+void expect_same_state(ClusterSim& a, ClusterSim& b) {
+  EXPECT_EQ(a.now(), b.now());
+  EXPECT_EQ(a.active_cores(), b.active_cores());
+  EXPECT_EQ(a.last_epoch_epi(), b.last_epoch_epi());
+  expect_same_result(a.result(), b.result());
+  expect_same_counters(a, b);
+}
+
+TEST(SkipEquivalence, GovernedRunsMatchAtEveryEpochBoundary) {
+  for (const ConfigId id : {ConfigId::kShSttCc, ConfigId::kShSttCcOs,
+                            ConfigId::kPrSttCc, ConfigId::kShSttCcOracle}) {
+    SCOPED_TRACE(to_string(id));
+    const ClusterConfig config = short_epoch_config(id);
+    SimParams params;
+    params.workload_scale = 0.05;
+    SimParams reference = params;
+    reference.cycle_skip = false;
+    ClusterSim skip(config, workload::benchmark("ocean"), params);
+    ClusterSim ref(config, workload::benchmark("ocean"), reference);
+    // Walk the active-core count as run() does, so boundaries also gate,
+    // wake and migrate cores.
+    GreedyGovernor governor(config.governor_params, config.cluster_cores);
+    std::uint32_t epochs = 0;
+    bool more = true;
+    while (more && !HasFailure()) {
+      more = skip.run_one_epoch();
+      ASSERT_EQ(more, ref.run_one_epoch());
+      expect_same_state(skip, ref);
+      if (!more) break;
+      ++epochs;
+      if (id == ConfigId::kShSttCcOracle) {
+        // An oracle trial: a snapshot replaying the next epoch at another
+        // core count must match too.
+        const std::uint32_t k =
+            skip.active_cores() > 8 ? skip.active_cores() - 4 : 16;
+        ClusterSim trial_skip = skip;
+        ClusterSim trial_ref = ref;
+        trial_skip.set_active_cores(k);
+        trial_ref.set_active_cores(k);
+        EXPECT_EQ(trial_skip.run_one_epoch(), trial_ref.run_one_epoch());
+        expect_same_state(trial_skip, trial_ref);
+      }
+      const std::uint32_t target =
+          governor.decide(skip.last_epoch_epi(), skip.active_cores());
+      skip.set_active_cores(target);
+      ref.set_active_cores(target);
+    }
+    EXPECT_GT(epochs, 10u);
+  }
+}
+
+TEST(SkipEquivalence, GovernedRunCutShortInsideABarrier) {
+  // A governed run() cut short by max_cycles: parked barrier waiters and
+  // idle-jumped cores must be settled at the horizon. Several cut points
+  // are tried; at least one must fall inside a barrier wait.
+  const ClusterConfig config = short_epoch_config(ConfigId::kShSttCc);
+  SimParams params;
+  params.workload_scale = 0.05;
+  ClusterSim full(config, workload::benchmark("ocean"), params);
+  full.run();
+  const std::int64_t length = full.now();
+  bool cut_in_barrier = false;
+  for (int i = 1; i <= 8; ++i) {
+    params.max_cycles = length * i / 9 + i;
+    SimParams reference = params;
+    reference.cycle_skip = false;
+    ClusterSim skip(config, workload::benchmark("ocean"), params);
+    ClusterSim ref(config, workload::benchmark("ocean"), reference);
+    skip.run();
+    ref.run();
+    SCOPED_TRACE(params.max_cycles);
+    EXPECT_TRUE(skip.result().hit_cycle_limit);
+    expect_same_state(skip, ref);
+    if (ref.describe_state().find(" barrier ") != std::string::npos) {
+      cut_in_barrier = true;
+    }
+  }
+  EXPECT_TRUE(cut_in_barrier);
 }
 
 // --- Serial vs parallel fan-out -------------------------------------------

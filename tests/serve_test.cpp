@@ -11,6 +11,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -449,6 +450,77 @@ TEST(ServeTcp, PipelinedPairsDoNotWaitForDelayedAck) {
   std::sort(pair_ms.begin(), pair_ms.end());
   EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
       << "median pipelined pair time; slowest " << pair_ms.back() << " ms";
+}
+
+// A client that streams megabytes without a newline must not grow the
+// daemon's line buffer without bound: past 1 MiB it gets a typed error
+// and the connection closes, and the daemon keeps serving others.
+TEST(ServeTcp, OverlongLineIsRejected) {
+  Server server(ephemeral_config());
+  BannerLog log_buf;
+  std::ostream log(&log_buf);
+  std::thread daemon([&] { serve_tcp(server, 0, log, "test"); });
+  const std::uint16_t port = log_buf.wait_for_port();
+
+  const auto connect_to_daemon = [port] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    // A daemon that never answers fails the test instead of hanging it.
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr)) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  };
+  std::string reply;
+  bool closed_after_reply = false;
+  std::string ping_reply;
+  if (port != 0) {
+    const int fd = connect_to_daemon();
+    if (fd >= 0) {
+      const std::string block(64 * 1024, 'x');
+      for (std::size_t sent = 0; sent < (std::size_t{8} << 20);
+           sent += block.size()) {
+        // The daemon may close its end early; a failed send just stops.
+        if (::send(fd, block.data(), block.size(), MSG_NOSIGNAL) <= 0) break;
+      }
+      std::string buffer;
+      if (recv_line(fd, buffer, reply)) {
+        char byte = 0;
+        closed_after_reply = buffer.empty() && ::recv(fd, &byte, 1, 0) == 0;
+      }
+      ::close(fd);
+    }
+    const int other = connect_to_daemon();
+    if (other >= 0) {
+      const std::string ping = "{\"op\":\"ping\"}\n";
+      std::string buffer;
+      if (::send(other, ping.data(), ping.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(ping.size())) {
+        (void)recv_line(other, buffer, ping_reply);
+      }
+      ::close(other);
+    }
+  }
+  server.handle_line("{\"op\":\"shutdown\"}");
+  daemon.join();
+
+  ASSERT_NE(port, 0) << "serve_tcp never reported its port";
+  ASSERT_FALSE(reply.empty()) << "no response to the over-long line";
+  const obsj::Value response = obsj::parse(reply);
+  EXPECT_FALSE(response.find("ok")->as_bool());
+  const obsj::Value* error = response.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->find("kind")->as_string(), "line_too_long");
+  EXPECT_TRUE(closed_after_reply) << "the connection stayed open";
+  ASSERT_FALSE(ping_reply.empty()) << "the daemon stopped serving";
+  EXPECT_TRUE(obsj::parse(ping_reply).find("ok")->as_bool());
 }
 
 TEST(ServeLruCache, EvictsLeastRecentlyUsed) {
