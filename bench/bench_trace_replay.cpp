@@ -70,20 +70,17 @@ int main(int argc, char** argv) {
 
   // Replay vs live, averaged over a few repetitions to steady the ratio.
   constexpr int kReps = 3;
-  trace::ReplayOptions replay_options;
-  replay_options.size = options.size;
-  replay_options.cycle_skip = options.cycle_skip;
   const core::ConfigId config = core::ConfigId::kShSttCc;
 
   double live_wall = 0.0, replay_wall = 0.0;
   core::SimResult live, replay;
   for (int rep = 0; rep < kReps; ++rep) {
     start = std::chrono::steady_clock::now();
-    live = trace::live_run_for(config, data, replay_options);
+    live = trace::live_run_for(config, data, options);
     live_wall += seconds_since(start);
 
     start = std::chrono::steady_clock::now();
-    replay = trace::replay_trace(config, data, replay_options);
+    replay = trace::replay_trace(config, data, options);
     replay_wall += seconds_since(start);
   }
   const std::string diff = trace::diff_results(live, replay);

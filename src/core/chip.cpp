@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "core/oracle.hpp"
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
-#include "util/require.hpp"
 #include "workload/workload.hpp"
 
 namespace respin::core {
@@ -44,21 +42,16 @@ ChipResult run_chip(ConfigId id, const std::string& benchmark,
   // chip fans out one simulation per cluster. Results come back in cluster
   // order and each simulation is seeded independently, so the outcome is
   // bit-identical to the serial loop.
+  const workload::WorkloadSpec& spec = workload::benchmark(benchmark);
   chip.clusters = exec::parallel_map_n(clusters, [&](std::size_t c) {
-    SimParams params;
-    params.workload_scale = options.workload_scale;
-    params.cycle_skip = options.cycle_skip;
-    params.trace = options.trace;
     // Each cluster runs its own process instance of the benchmark: a
     // distinct workload seed per cluster.
-    params.seed = options.seed + 1000ull * c;
-    ClusterSim sim(configs[c], workload::benchmark(benchmark), params);
-    if (configs[c].governor == GovernorKind::kOracle) {
-      return run_with_oracle(sim,
-                             OracleParams{.stride = options.oracle_stride});
-    }
-    sim.run();
-    return sim.result();
+    RunOptions cluster_options = options;
+    cluster_options.seed = options.seed + 1000ull * c;
+    return simulate(configs[c], spec.name,
+                    workload::synthetic_factory(spec, options.workload_scale,
+                                                cluster_options.seed),
+                    cluster_options);
   });
 
   // Chip finish time = slowest cluster.

@@ -1295,10 +1295,4 @@ std::string ClusterSim::describe_state() const {
   return os.str();
 }
 
-ClusterSim make_sim(const ClusterConfig& config, const std::string& benchmark,
-                    const SimParams& params) {
-  ClusterSim sim(config, workload::benchmark(benchmark), params);
-  return sim;
-}
-
 }  // namespace respin::core

@@ -321,8 +321,4 @@ class ClusterSim {
   util::RunningStat active_stat_;
 };
 
-/// Builds a ClusterSim for (config, benchmark name) with the given params.
-ClusterSim make_sim(const ClusterConfig& config, const std::string& benchmark,
-                    const SimParams& params);
-
 }  // namespace respin::core

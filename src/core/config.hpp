@@ -150,6 +150,12 @@ struct TechOverride {
   /// accepted and collapse to the equivalent pure configuration.
   std::uint32_t hybrid_sram_ways = 0;
   std::uint32_t hybrid_nvm_ways = 0;
+
+  /// True when any override departs from the named configuration.
+  bool any() const {
+    return shared_tech.has_value() || private_tech.has_value() ||
+           hybrid_sram_ways != 0 || hybrid_nvm_ways != 0;
+  }
 };
 
 /// Builds the derived configuration for (config, size class) with

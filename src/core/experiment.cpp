@@ -29,18 +29,16 @@ void emit_run_complete(obs::TraceSink* sink, const SimResult& result) {
 
 }  // namespace
 
-SimResult run_experiment(ConfigId id, const std::string& benchmark,
-                         const RunOptions& options) {
-  const ClusterConfig config = make_cluster_config(
-      id, options.size, options.cluster_cores, options.seed,
-      CoreCalibration{}, /*first_core=*/0, options.tech);
+SimResult simulate(const ClusterConfig& config, const std::string& label,
+                   const workload::OpSourceFactory& sources,
+                   const RunOptions& options) {
   SimParams params;
   params.workload_scale = options.workload_scale;
   params.seed = options.seed;
   params.cycle_skip = options.cycle_skip;
   params.trace = options.trace;
   params.faults = options.faults;
-  ClusterSim sim(config, workload::benchmark(benchmark), params);
+  ClusterSim sim(config, label, sources, params);
   SimResult result;
   if (config.governor == GovernorKind::kOracle) {
     result =
@@ -51,6 +49,24 @@ SimResult run_experiment(ConfigId id, const std::string& benchmark,
   }
   emit_run_complete(options.trace, result);
   return result;
+}
+
+SimResult simulate(ConfigId id, const std::string& label,
+                   const workload::OpSourceFactory& sources,
+                   const RunOptions& options) {
+  return simulate(make_cluster_config(id, options.size, options.cluster_cores,
+                                      options.seed, CoreCalibration{},
+                                      /*first_core=*/0, options.tech),
+                  label, sources, options);
+}
+
+SimResult run_experiment(ConfigId id, const std::string& benchmark,
+                         const RunOptions& options) {
+  const workload::WorkloadSpec& spec = workload::benchmark(benchmark);
+  return simulate(id, spec.name,
+                  workload::synthetic_factory(spec, options.workload_scale,
+                                              options.seed),
+                  options);
 }
 
 std::vector<SimResult> run_suite(ConfigId id, const RunOptions& options) {

@@ -1,7 +1,9 @@
-// One-call experiment runner used by the bench harnesses, examples and
-// integration tests: builds the configuration, constructs the simulator,
-// dispatches oracle configurations to the oracle driver, and returns the
-// finished SimResult.
+// The one run recipe. core::simulate is the only place that turns
+// RunOptions into SimParams, constructs the ClusterSim, dispatches oracle
+// configurations to the oracle driver and emits the run_complete trace
+// record. Catalog runs (run_experiment, run_suite, run_matrix), chip
+// clusters (run_chip), trace replays and fitted-profile runs (respin::
+// trace) are thin front ends that pick a workload and call it.
 #pragma once
 
 #include <string>
@@ -36,6 +38,20 @@ struct RunOptions {
   /// --hybrid-ways) applied on top of the named configuration's traits.
   TechOverride tech;
 };
+
+/// Runs the workload `sources` builds (labelled `label` in the result) on
+/// the prebuilt cluster `config`. Of `options`, only the simulation knobs
+/// apply here (workload_scale, seed, oracle_stride, cycle_skip, trace,
+/// faults); size, cluster_cores and tech shape `config` itself.
+SimResult simulate(const ClusterConfig& config, const std::string& label,
+                   const workload::OpSourceFactory& sources,
+                   const RunOptions& options);
+
+/// simulate on configuration `id`, built from options.size,
+/// options.cluster_cores, options.seed and options.tech.
+SimResult simulate(ConfigId id, const std::string& label,
+                   const workload::OpSourceFactory& sources,
+                   const RunOptions& options);
 
 /// Runs `benchmark` on configuration `id` and returns the cluster-level
 /// result (chip-level figures scale by clusters_per_chip; every

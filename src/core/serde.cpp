@@ -121,11 +121,6 @@ fault::FaultPlan fault_plan_from_json(const obsj::Value& value) {
   return plan;
 }
 
-bool tech_override_set(const TechOverride& tech) {
-  return tech.shared_tech.has_value() || tech.private_tech.has_value() ||
-         tech.hybrid_sram_ways != 0 || tech.hybrid_nvm_ways != 0;
-}
-
 obsj::Value tech_override_to_json(const TechOverride& tech) {
   obsj::Value v = obsj::Value::object();
   if (tech.shared_tech) {
@@ -304,7 +299,7 @@ RequestSpec request_spec_from_json(const obsj::Value& request) {
     // no fault/tech plumbing; reject silently-ignored knobs.
     RESPIN_REQUIRE(!spec.options.faults.enabled,
                    "trace_file requests do not support fault plans");
-    RESPIN_REQUIRE(!tech_override_set(spec.options.tech),
+    RESPIN_REQUIRE(!spec.options.tech.any(),
                    "trace_file requests do not support tech overrides");
   }
   return spec;
@@ -337,7 +332,7 @@ obsj::Value request_spec_to_json(const RequestSpec& spec) {
   if (spec.options.faults.enabled) {
     v.set("faults", fault_plan_to_json(spec.options.faults));
   }
-  if (tech_override_set(spec.options.tech)) {
+  if (spec.options.tech.any()) {
     v.set("tech", tech_override_to_json(spec.options.tech));
   }
   return v;

@@ -8,7 +8,6 @@
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 #include "serve/sweep.hpp"
-#include "trace/fit/fit.hpp"
 #include "trace/replay.hpp"
 #include "util/require.hpp"
 #include "workload/workload.hpp"
@@ -64,31 +63,6 @@ void QueueWaitHistogram::export_counters(obs::CounterSet& set,
           static_cast<double>(sum_us_.load(std::memory_order_relaxed)) /
               1000.0);
 }
-
-namespace {
-
-/// Executes one request: catalog benchmark, trace replay when the
-/// workload reference is a trace file, or profile synthesis when it is a
-/// fitted-profile file.
-core::SimResult run_request(const core::RequestSpec& spec) {
-  if (!spec.trace_file.empty()) {
-    const trace::TraceData data = trace::load_trace(spec.trace_file);
-    trace::ReplayOptions options;
-    options.size = spec.options.size;
-    options.cycle_skip = spec.options.cycle_skip;
-    options.oracle_stride = spec.options.oracle_stride;
-    return trace::replay_trace(spec.config, data, options);
-  }
-  if (!spec.profile_file.empty()) {
-    auto profile = std::make_shared<const workload::WorkloadProfile>(
-        trace::fit::load_profile(spec.profile_file));
-    return trace::fit::run_profile(spec.config, std::move(profile),
-                                   spec.options);
-  }
-  return core::run_experiment(spec.config, spec.benchmark, spec.options);
-}
-
-}  // namespace
 
 Server::Server(const ServerConfig& config)
     : config_(config),
@@ -255,7 +229,7 @@ obsj::Value Server::do_sweep(const obsj::Value& request) {
         try {
           obs::ScopedProbe probe("serve.sweep_cell");
           auto result =
-              std::make_shared<core::SimResult>(run_request(cell.spec));
+              std::make_shared<core::SimResult>(trace::run_request(cell.spec));
           store_.put(cell.key, *result);
           {
             std::lock_guard<std::mutex> lock(mu_);
@@ -379,7 +353,7 @@ void Server::execute_job(const Job& job) {
   std::string error;
   try {
     obs::ScopedProbe probe("serve.sim");
-    result = std::make_shared<core::SimResult>(run_request(job.spec));
+    result = std::make_shared<core::SimResult>(trace::run_request(job.spec));
     sims_run_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
     error = e.what();

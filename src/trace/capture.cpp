@@ -14,6 +14,24 @@ workload::OpSourceFactory recording_factory(workload::OpSourceFactory inner,
   };
 }
 
+void record_thread(workload::OpSource& source, std::uint32_t thread,
+                   TraceWriter& writer, RecordStats& stats) {
+  std::uint64_t instructions = 0;
+  for (;;) {
+    const workload::Op op = source.next();
+    if (op.kind == workload::OpKind::kFinished) break;
+    writer.add_op(thread, op);
+    instructions += op.count;
+    ++stats.ops;
+  }
+  stats.instructions += instructions;
+  const std::uint64_t budget = ifetch_budget(instructions);
+  for (std::uint64_t i = 0; i < budget; ++i) {
+    writer.add_ifetch(thread, source.next_ifetch_addr());
+  }
+  stats.ifetches += budget;
+}
+
 RecordStats record_benchmark(const workload::WorkloadSpec& spec,
                              std::uint32_t threads, double scale,
                              std::uint64_t seed, const std::string& path) {
@@ -27,31 +45,10 @@ RecordStats record_benchmark(const workload::WorkloadSpec& spec,
 
   RecordStats stats;
   for (std::uint32_t t = 0; t < threads; ++t) {
-    RecordingOpSource source(
-        workload::OpStream(std::make_unique<workload::SyntheticOpSource>(
-            workload::ThreadWorkload(spec, t, threads, scale, seed))),
-        &writer, t);
-
-    std::uint64_t instructions = 0;
-    for (;;) {
-      const workload::Op op = source.next();
-      if (op.kind == workload::OpKind::kFinished) break;
-      instructions += op.count;
-      ++stats.ops;
-    }
-    stats.instructions += instructions;
-
-    // Ifetch budget: one fetch per kMinInstructionsPerFetch committed
-    // instructions, plus slack for the partial fetch groups around
-    // scheduling boundaries.
-    const std::uint64_t budget =
-        instructions / kMinInstructionsPerFetch + 16;
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      source.next_ifetch_addr();
-    }
-    stats.ifetches += budget;
+    workload::SyntheticOpSource source(
+        workload::ThreadWorkload(spec, t, threads, scale, seed));
+    record_thread(source, t, writer, stats);
   }
-
   writer.finish();
   return stats;
 }

@@ -27,6 +27,13 @@ namespace respin::trace {
 /// cores fetch every 8 instructions; 4 leaves 2x headroom).
 inline constexpr std::uint32_t kMinInstructionsPerFetch = 4;
 
+/// Ifetch addresses recorded for a thread that commits `instructions`:
+/// one per kMinInstructionsPerFetch, plus slack for the partial fetch
+/// groups around scheduling boundaries.
+inline std::uint64_t ifetch_budget(std::uint64_t instructions) {
+  return instructions / kMinInstructionsPerFetch + 16;
+}
+
 /// Transparent tee: forwards an inner stream while recording everything
 /// it emits. clone() intentionally drops the recording side — ClusterSim
 /// snapshots (oracle trial epochs) would otherwise re-record every op
@@ -69,9 +76,14 @@ struct RecordStats {
   std::uint64_t instructions = 0;
 };
 
+/// Records thread `thread` into `writer`: drains `source` to exhaustion,
+/// then its first ifetch_budget() fetch addresses. Adds to `stats`.
+void record_thread(workload::OpSource& source, std::uint32_t thread,
+                   TraceWriter& writer, RecordStats& stats);
+
 /// Records benchmark (spec, threads, scale, seed) to a trace file at
-/// `path` by draining every thread's synthetic stream to exhaustion
-/// through a RecordingOpSource. Throws TraceError on I/O failure.
+/// `path` by draining every thread's synthetic stream with record_thread.
+/// Throws TraceError on I/O failure.
 RecordStats record_benchmark(const workload::WorkloadSpec& spec,
                              std::uint32_t threads, double scale,
                              std::uint64_t seed, const std::string& path);

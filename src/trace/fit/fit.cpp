@@ -7,9 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/oracle.hpp"
-#include "trace/capture.hpp"
-#include "trace/writer.hpp"
 #include "util/require.hpp"
 
 namespace respin::trace::fit {
@@ -351,9 +348,9 @@ WorkloadProfile load_profile(const std::string& path) {
 
 // ---- Synthesis drivers ---------------------------------------------------
 
-SynthStats synthesize_trace(const WorkloadProfile& profile,
-                            std::uint32_t thread_count, double scale,
-                            std::uint64_t seed, const std::string& path) {
+RecordStats synthesize_trace(const WorkloadProfile& profile,
+                             std::uint32_t thread_count, double scale,
+                             std::uint64_t seed, const std::string& path) {
   workload::validate(profile);
   RESPIN_REQUIRE(thread_count >= 1, "need at least one thread");
   auto shared = std::make_shared<const WorkloadProfile>(profile);
@@ -365,22 +362,10 @@ SynthStats synthesize_trace(const WorkloadProfile& profile,
   header.benchmark = profile.name;
   TraceWriter writer(path, header);
 
-  SynthStats stats;
+  RecordStats stats;
   for (std::uint32_t t = 0; t < thread_count; ++t) {
     workload::SynthFromProfile source(shared, t, thread_count, scale, seed);
-    for (;;) {
-      const workload::Op op = source.next();
-      if (op.kind == workload::OpKind::kFinished) break;
-      writer.add_op(t, op);
-      ++stats.ops;
-    }
-    stats.instructions += source.instructions_emitted();
-    const std::uint64_t budget =
-        source.instructions_emitted() / kMinInstructionsPerFetch + 16;
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      writer.add_ifetch(t, source.next_ifetch_addr());
-    }
-    stats.ifetches += budget;
+    record_thread(source, t, writer, stats);
   }
   writer.finish();
   return stats;
@@ -391,25 +376,10 @@ core::SimResult run_profile(
     std::shared_ptr<const WorkloadProfile> profile,
     const core::RunOptions& options) {
   RESPIN_REQUIRE(profile != nullptr, "run_profile needs a profile");
-  const core::ClusterConfig config = core::make_cluster_config(
-      id, options.size, options.cluster_cores, options.seed,
-      core::CoreCalibration{}, /*first_core=*/0, options.tech);
-  core::SimParams params;
-  params.workload_scale = options.workload_scale;
-  params.seed = options.seed;
-  params.cycle_skip = options.cycle_skip;
-  params.trace = options.trace;
-  params.faults = options.faults;
-  core::ClusterSim sim(
-      config, profile->name,
+  return core::simulate(
+      id, profile->name,
       workload::synth_factory(profile, options.workload_scale, options.seed),
-      params);
-  if (config.governor == core::GovernorKind::kOracle) {
-    return core::run_with_oracle(
-        sim, core::OracleParams{.stride = options.oracle_stride});
-  }
-  sim.run();
-  return sim.result();
+      options);
 }
 
 }  // namespace respin::trace::fit

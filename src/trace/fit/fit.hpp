@@ -25,6 +25,7 @@
 
 #include "core/experiment.hpp"
 #include "obs/json.hpp"
+#include "trace/capture.hpp"
 #include "trace/reader.hpp"
 #include "workload/synth.hpp"
 
@@ -58,19 +59,13 @@ void save_profile(const workload::WorkloadProfile& profile,
                   const std::string& path);
 workload::WorkloadProfile load_profile(const std::string& path);
 
-struct SynthStats {
-  std::uint64_t ops = 0;
-  std::uint64_t ifetches = 0;
-  std::uint64_t instructions = 0;
-};
-
 /// Drains a synthesized workload into a native .rspt trace at `path`
 /// (the synth counterpart of trace::record_benchmark): thread_count
 /// threads, every phase budget scaled by `scale`, instance selected by
 /// `seed`. The result replays bit-identically like any recorded trace.
-SynthStats synthesize_trace(const workload::WorkloadProfile& profile,
-                            std::uint32_t thread_count, double scale,
-                            std::uint64_t seed, const std::string& path);
+RecordStats synthesize_trace(const workload::WorkloadProfile& profile,
+                             std::uint32_t thread_count, double scale,
+                             std::uint64_t seed, const std::string& path);
 
 /// Runs a profile-backed workload through configuration `id` exactly as
 /// core::run_experiment runs a catalog benchmark (oracle dispatch, fault

@@ -112,8 +112,7 @@ ImportStats import_trace(const std::string& format, const std::string& in_path,
   for (std::uint32_t t = 0; t < stats.thread_count; ++t) {
     const ParsedThread& thread = threads[t];
     for (const workload::Op& op : thread.ops) writer.add_op(t, op);
-    const std::uint64_t budget =
-        thread.instructions / kMinInstructionsPerFetch + 16;
+    const std::uint64_t budget = ifetch_budget(thread.instructions);
     for (std::uint64_t i = 0; i < budget; ++i) {
       writer.add_ifetch(t, code_base + (64 * t + 32 * i) % kCodeBytes);
     }

@@ -2,8 +2,8 @@
 
 #include <sstream>
 
-#include "core/oracle.hpp"
 #include "trace/capture.hpp"
+#include "trace/fit/fit.hpp"
 
 namespace respin::trace {
 
@@ -54,42 +54,57 @@ workload::OpSourceFactory trace_factory(
   };
 }
 
-core::SimResult replay_trace(core::ConfigId id, const TraceData& data,
-                             const ReplayOptions& options) {
-  const core::ClusterConfig config = core::make_cluster_config(
-      id, options.size, data.header.thread_count, data.header.seed);
-  core::SimParams params;
-  params.workload_scale = data.header.scale;
-  params.seed = data.header.seed;
-  params.cycle_skip = options.cycle_skip;
+namespace {
 
+/// `options` with the trace header's thread count, scale and seed, which
+/// replay_trace and live_run_for both take from the recording.
+core::RunOptions recorded_options(const TraceData& data,
+                                  core::RunOptions options) {
+  options.cluster_cores = data.header.thread_count;
+  options.workload_scale = data.header.scale;
+  options.seed = data.header.seed;
+  return options;
+}
+
+}  // namespace
+
+core::SimResult replay_trace(core::ConfigId id, const TraceData& data,
+                             const core::RunOptions& options) {
+  if (options.faults.enabled || options.tech.any()) {
+    throw TraceError(TraceErrorKind::kMismatch,
+                     "trace replay reuses the recorded configuration and "
+                     "takes no fault plan or tech override; fit the trace "
+                     "and run the profile instead");
+  }
   // Borrow `data` through an owner-less aliasing handle instead of copying
   // it: concurrent replays of one loaded trace then share a single decoded
-  // copy. This is safe because `sim` and every oracle snapshot cloned from
-  // it (the only holders of the handle) are destroyed before this function
-  // returns; SimResult keeps no reference into the trace.
+  // copy. This is safe because the simulator and every oracle snapshot
+  // cloned from it (the only holders of the handle) are destroyed before
+  // core::simulate returns; SimResult keeps no reference into the trace.
   const std::shared_ptr<const TraceData> borrowed(
       std::shared_ptr<const TraceData>(), &data);
-  core::ClusterSim sim(config, data.header.benchmark, trace_factory(borrowed),
-                       params);
-  if (config.governor == core::GovernorKind::kOracle) {
-    return core::run_with_oracle(
-        sim, core::OracleParams{.stride = options.oracle_stride});
-  }
-  sim.run();
-  return sim.result();
+  return core::simulate(id, data.header.benchmark, trace_factory(borrowed),
+                        recorded_options(data, options));
 }
 
 core::SimResult live_run_for(core::ConfigId id, const TraceData& data,
-                             const ReplayOptions& options) {
-  core::RunOptions run;
-  run.size = options.size;
-  run.cluster_cores = data.header.thread_count;
-  run.workload_scale = data.header.scale;
-  run.seed = data.header.seed;
-  run.oracle_stride = options.oracle_stride;
-  run.cycle_skip = options.cycle_skip;
-  return core::run_experiment(id, data.header.benchmark, run);
+                             const core::RunOptions& options) {
+  return core::run_experiment(id, data.header.benchmark,
+                              recorded_options(data, options));
+}
+
+core::SimResult run_request(const core::RequestSpec& spec) {
+  if (!spec.trace_file.empty()) {
+    return replay_trace(spec.config, load_trace(spec.trace_file),
+                        spec.options);
+  }
+  if (!spec.profile_file.empty()) {
+    return fit::run_profile(spec.config,
+                            std::make_shared<const workload::WorkloadProfile>(
+                                fit::load_profile(spec.profile_file)),
+                            spec.options);
+  }
+  return core::run_experiment(spec.config, spec.benchmark, spec.options);
 }
 
 namespace {

@@ -1,6 +1,8 @@
 // Trace-driven workload frontend: executes a decoded trace through the
 // core model via the workload::OpSource interface, plus the
-// replay/verify drivers behind `respin_trace replay|verify`.
+// replay/verify drivers behind `respin_trace replay|verify` and the
+// workload-reference dispatcher (run_request) shared by respin_sim and
+// the serving worker.
 //
 // Correctness contract (pinned by tests/trace_test.cpp and the verify
 // subcommand): for every benchmark and every Table IV configuration,
@@ -15,6 +17,7 @@
 
 #include "core/config.hpp"
 #include "core/experiment.hpp"
+#include "core/serde.hpp"
 #include "trace/reader.hpp"
 #include "workload/op_source.hpp"
 
@@ -49,29 +52,30 @@ class TraceOpSource final : public workload::OpSource {
 workload::OpSourceFactory trace_factory(
     std::shared_ptr<const TraceData> data);
 
-/// Replay knobs. Workload scale, seed and thread count are NOT here: they
-/// come from the trace header, because both the die-variation map and the
-/// controller arbitration streams must be seeded exactly as the live run
-/// was for bit-identical results.
-struct ReplayOptions {
-  core::CacheSize size = core::CacheSize::kMedium;
-  bool cycle_skip = true;
-  std::uint32_t oracle_stride = 2;
-};
-
 /// Runs `data` through configuration `id` exactly as run_experiment runs
-/// the live synthetic workload (oracle configurations included). Reads
-/// `data` in place without copying it, so any number of threads may
-/// replay one loaded trace concurrently. Throws TraceError(kMismatch) when
-/// the configuration's cluster_cores disagrees with the trace's thread
-/// count.
+/// the live synthetic workload (oracle configurations and the trace sink
+/// included). The trace header overrides options.cluster_cores,
+/// workload_scale and seed: the die-variation map and the controller
+/// arbitration streams must be seeded exactly as the live run was for
+/// bit-identical results. Reads `data` in place without copying it, so any
+/// number of threads may replay one loaded trace concurrently. Throws
+/// TraceError(kMismatch) when `options` enables a fault plan or a tech
+/// override (replay reuses the recorded configuration; fit the trace and
+/// run the profile instead), or when the configuration's cluster_cores
+/// disagrees with the trace's thread count.
 core::SimResult replay_trace(core::ConfigId id, const TraceData& data,
-                             const ReplayOptions& options = {});
+                             const core::RunOptions& options = {});
 
 /// The live counterpart of replay_trace: reruns the recorded benchmark
 /// synthetically with the trace header's scale/seed/thread count.
 core::SimResult live_run_for(core::ConfigId id, const TraceData& data,
-                             const ReplayOptions& options = {});
+                             const core::RunOptions& options = {});
+
+/// Runs one request whatever its workload reference: a recorded trace
+/// (replay_trace), a fitted profile (fit::run_profile) or a catalog
+/// benchmark (core::run_experiment). The one dispatcher behind the
+/// serving worker and respin_sim.
+core::SimResult run_request(const core::RequestSpec& spec);
 
 /// Field-by-field bit-identity diff of two SimResults; returns "" when
 /// identical, otherwise one line per drifted field. (The gtest twin lives

@@ -164,7 +164,6 @@ Op SynthFromProfile::next() {
     const auto run = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(phase_budget_, kMaxComputeRun));
     phase_budget_ -= run;
-    instructions_emitted_ += run;
     return Op{.kind = OpKind::kCompute, .count = run, .addr = 0, .ipc = p.ipc};
   }
 
@@ -181,7 +180,6 @@ Op SynthFromProfile::next() {
       if (run > 0) {
         pending_mem_ = true;
         phase_budget_ -= run;
-        instructions_emitted_ += run;
         return Op{.kind = OpKind::kCompute, .count = run, .addr = 0,
                   .ipc = p.ipc};
       }
@@ -190,7 +188,6 @@ Op SynthFromProfile::next() {
   pending_mem_ = false;
 
   phase_budget_ -= 1;
-  instructions_emitted_ += 1;
   const bool store = rng_.bernoulli(p.store_fraction);
   return Op{.kind = store ? OpKind::kStore : OpKind::kLoad,
             .count = 1,

@@ -97,8 +97,6 @@ class SynthFromProfile final : public OpSource {
     return std::make_unique<SynthFromProfile>(*this);
   }
 
-  std::uint64_t instructions_emitted() const { return instructions_emitted_; }
-
  private:
   const ProfilePhase& phase() const { return profile_->phases[phase_index_]; }
   void enter_phase(std::size_t index);
@@ -125,7 +123,6 @@ class SynthFromProfile final : public OpSource {
   std::uint64_t next_barrier_id_ = 0;
   bool pending_mem_ = false;
   bool finished_ = false;
-  std::uint64_t instructions_emitted_ = 0;
   mem::Addr code_cursor_ = 0;
 };
 

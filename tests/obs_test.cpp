@@ -240,7 +240,7 @@ TEST(ObsClusterSim, CollectCountersCoversTheTaxonomy) {
       core::ConfigId::kShStt, core::CacheSize::kMedium);
   core::SimParams params;
   params.workload_scale = 0.05;
-  core::ClusterSim sim = core::make_sim(config, "fft", params);
+  core::ClusterSim sim(config, workload::benchmark("fft"), params);
   sim.run();
 
   obs::CounterSet set;
@@ -259,7 +259,7 @@ TEST(ObsClusterSim, PrivateConfigExportsCoherenceCounters) {
       core::ConfigId::kPrSramNt, core::CacheSize::kMedium);
   core::SimParams params;
   params.workload_scale = 0.05;
-  core::ClusterSim sim = core::make_sim(config, "fft", params);
+  core::ClusterSim sim(config, workload::benchmark("fft"), params);
   sim.run();
 
   obs::CounterSet set;

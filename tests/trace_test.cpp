@@ -371,7 +371,7 @@ TEST_P(TraceReplayEquivalence, BitIdenticalAcrossAllConfigs) {
 
   for (const core::ConfigId id : core::all_config_ids()) {
     SCOPED_TRACE(core::to_string(id));
-    trace::ReplayOptions options;
+    const core::RunOptions options;
     const core::SimResult live = trace::live_run_for(id, data, options);
     const core::SimResult replay = trace::replay_trace(id, data, options);
     core::expect_same_result(live, replay);

@@ -56,7 +56,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,7 +69,6 @@
 #include "nvsim/tech_backend.hpp"
 #include "obs/golden.hpp"
 #include "obs/obs.hpp"
-#include "trace/fit/fit.hpp"
 #include "trace/replay.hpp"
 #include "workload/workload.hpp"
 
@@ -233,11 +231,7 @@ int main(int argc, char** argv) {
   if ((!trace_file.empty() || !profile_path.empty()) && (run_all || chip)) {
     usage_error("--trace-file/--profile run one workload; drop --all/--chip");
   }
-  if (!trace_file.empty() &&
-      (options.faults.enabled || options.tech.shared_tech.has_value() ||
-       options.tech.private_tech.has_value() ||
-       options.tech.hybrid_sram_ways != 0 ||
-       options.tech.hybrid_nvm_ways != 0)) {
+  if (!trace_file.empty() && (options.faults.enabled || options.tech.any())) {
     usage_error("--trace-file does not support fault/tech overrides (replay "
                 "reuses the recorded configuration; fit the trace and use "
                 "--profile instead)");
@@ -300,15 +294,6 @@ int main(int argc, char** argv) {
       run_all ? workload::benchmark_names()
               : std::vector<std::string>{benchmark};
 
-  // Trace/profile workloads load once, outside the run lambda.
-  std::optional<trace::TraceData> trace_data;
-  if (!trace_file.empty()) trace_data.emplace(trace::load_trace(trace_file));
-  std::shared_ptr<const workload::WorkloadProfile> profile;
-  if (!profile_path.empty()) {
-    profile = std::make_shared<const workload::WorkloadProfile>(
-        trace::fit::load_profile(profile_path));
-  }
-
   // Fan the runs out over the host thread pool; each run times itself so
   // --time can report per-run cost even when they overlap.
   const auto wall_start = std::chrono::steady_clock::now();
@@ -320,17 +305,11 @@ int main(int argc, char** argv) {
       exec::parallel_map(benches, [&](const std::string& name) {
         const auto start = std::chrono::steady_clock::now();
         TimedRun run;
-        if (trace_data.has_value()) {
-          trace::ReplayOptions replay;
-          replay.size = options.size;
-          replay.cycle_skip = options.cycle_skip;
-          replay.oracle_stride = options.oracle_stride;
-          run.result = trace::replay_trace(config, *trace_data, replay);
-        } else if (profile != nullptr) {
-          run.result = trace::fit::run_profile(config, profile, options);
-        } else {
-          run.result = core::run_experiment(config, name, options);
-        }
+        run.result = trace::run_request({.config = config,
+                                         .benchmark = name,
+                                         .trace_file = trace_file,
+                                         .profile_file = profile_path,
+                                         .options = options});
         run.wall_seconds = seconds_since(start);
         return run;
       });

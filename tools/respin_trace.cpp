@@ -66,7 +66,7 @@ struct Args {
   double scale = 1.0;
   std::uint64_t seed = 1;
   std::string config;
-  respin::trace::ReplayOptions replay;
+  respin::core::RunOptions replay;
   std::string format;
   std::string name;
   std::string profile;
@@ -291,7 +291,7 @@ int cmd_synth(const Args& args) {
   const std::uint32_t threads =
       args.threads != 16 || profile.thread_count == 0 ? args.threads
                                                       : profile.thread_count;
-  const trace::fit::SynthStats stats = trace::fit::synthesize_trace(
+  const trace::RecordStats stats = trace::fit::synthesize_trace(
       profile, threads, args.scale, args.seed, args.out);
   std::printf(
       "%s: %llu ops, %llu ifetches, %llu instructions x %u threads -> %s\n",
