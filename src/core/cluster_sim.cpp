@@ -38,7 +38,6 @@ ClusterSim::ClusterSim(ClusterConfig config, std::string benchmark_name,
   vcores_.reserve(cfg_.cluster_cores);
   cores_.resize(cfg_.cluster_cores);
   core_next_tick_.resize(cfg_.cluster_cores);
-  parked_at_.assign(cfg_.cluster_cores, kNever);
   host_of_.resize(cfg_.cluster_cores);
   for (std::uint32_t c = 0; c < cfg_.cluster_cores; ++c) {
     vcores_.emplace_back(sources(c, cfg_.cluster_cores));
@@ -123,17 +122,15 @@ ClusterSim::ClusterSim(ClusterConfig config, std::string benchmark_name,
     }
   }
 
-  if (cfg_.governor != GovernorKind::kNone) {
+  if (cfg_.governor == GovernorKind::kGreedy ||
+      cfg_.governor == GovernorKind::kOs) {
     governor_.emplace(cfg_.governor_params, cfg_.cluster_cores);
   }
   next_epoch_instructions_ = cfg_.governor_params.epoch_instructions;
   next_epoch_cycle_ = cfg_.os_epoch_cycles;
 
-  next_core_tick_ = kNever;
-  for (const std::int64_t tick : core_next_tick_) {
-    next_core_tick_ = std::min(next_core_tick_, tick);
-  }
-  epoch_watched_ = cfg_.governor != GovernorKind::kNone;
+  credit_from_ = core_next_tick_;
+  next_core_tick_ = min_multiplier_;
 }
 
 std::int64_t ClusterSim::next_boundary_after(std::uint32_t pid,
@@ -145,90 +142,56 @@ std::int64_t ClusterSim::next_boundary_after(std::uint32_t pid,
 }
 
 void ClusterSim::run() {
-  while (!done()) {
-    if (now_ >= params_.max_cycles) break;
-    step_cycle();
-    if (governor_ && cfg_.governor != GovernorKind::kOracle &&
-        at_epoch_boundary()) {
-      settle_skipped_ticks();
-      on_epoch_boundary();
-    }
+  while (run_one_epoch()) {
   }
-  // A run cut short by max_cycles can leave cores parked on a barrier
-  // that never completed. A finished run has no waiter left to settle
-  // (and a core powered up at its last boundary must keep its schedule).
-  if (!done()) settle_skipped_ticks();
-  sync_power_integral();
 }
 
 bool ClusterSim::run_one_epoch() {
-  // An external driver (oracle) is watching epoch boundaries, so the
-  // event-driven clock must stop on them from here on.
-  epoch_watched_ = true;
-  while (!done()) {
-    if (now_ >= params_.max_cycles) break;
+  while (!done() && now_ < params_.max_cycles) {
     step_cycle();
-    if (at_epoch_boundary()) {
-      // Close the epoch's books but let the caller decide the next count.
-      settle_skipped_ticks();
-      const power::ActivityCounts delta = current_counts() - epoch_counts_;
-      const power::EnergyBreakdown energy =
-          power::compute_energy(cfg_.power, delta,
-                                (now_ - epoch_start_) *
-                                    cfg_.clocking.cache_period);
-      last_epoch_epi_ =
-          power::energy_per_instruction(energy, delta.instructions);
-      trace_.push_back(ConsolidationSample{now_, active_count_,
-                                           last_epoch_epi_});
-      active_stat_.add(active_count_);
-      emit_epoch_event();
-      epoch_counts_ = current_counts();
-      epoch_start_ = now_;
-      next_epoch_instructions_ =
-          counts_.instructions + cfg_.governor_params.epoch_instructions;
-      next_epoch_cycle_ = now_ + cfg_.os_epoch_cycles;
+    if (cfg_.governor != GovernorKind::kNone && at_epoch_boundary()) {
+      close_epoch();
       return true;
     }
   }
-  if (!done()) settle_skipped_ticks();  // As at the end of run().
+  // A run cut short by max_cycles can leave cores jumped or parked; a
+  // finished run has none, so there the settle changes nothing.
+  settle_skipped_ticks();
   sync_power_integral();
   return false;
 }
 
+ClusterSim ClusterSim::snapshot() const {
+  ClusterSim copy = *this;
+  copy.params_.trace = nullptr;
+  return copy;
+}
+
+void ClusterSim::credit_idle(std::uint32_t pid, std::int64_t t) {
+  std::int64_t& anchor = credit_from_[pid];
+  if (t <= anchor) return;
+  cores_[pid].idle_cycles +=
+      static_cast<std::uint64_t>((t - anchor) / cores_[pid].multiplier);
+  anchor = t;
+}
+
 void ClusterSim::settle_skipped_ticks() {
-  // The fast paths run ahead of the clock: an idle-elided core has its
-  // next tick past now_ with the polls in between already credited, and a
-  // barrier-parked core has no next tick at all. Where that state becomes
-  // observable — an epoch boundary (governor decision, oracle snapshot,
-  // epoch books) or the end of a run — put every powered core back on its
-  // first boundary at or after now_, which is where the cycle-by-cycle
-  // clock has it: a jumped core gives back the idles credited from there
-  // on (credits never reach past max_cycles, see jump_idle_to), a parked
-  // core is credited the polls it skipped up to there. Compute bursts
-  // need no settling: under observed epochs they are elided only inside
-  // a window that ends before the boundary (elide_compute_ticks). Gated
-  // cores do not tick at all; power_up_one reschedules them.
-  std::int64_t next = kNever;
+  // The cycle-by-cycle clock has executed every powered core's boundaries
+  // before now_ and has its next tick on the first boundary at or after
+  // now_. Credit the polls a jumped or parked core skipped up to there and
+  // put its next tick there; on its next tick it polls once and jumps, or
+  // parks, again. A core whose anchor is at or past that boundary has
+  // skipped nothing and keeps its tick (every core of a finished run; a
+  // core powered up at the last boundary is due later still). Gated cores
+  // have no ticks; power_up_one reschedules them.
+  next_core_tick_ = kNever;
   for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    if (parked_at_[c] != kNever) {
-      core_next_tick_[c] = parked_at_[c];
-      parked_at_[c] = kNever;
-      jump_idle_to(c, now_);
-    } else if (cores_[c].powered_on) {
-      const std::int64_t due = next_boundary_after(c, now_);
-      const std::int64_t tick = core_next_tick_[c];
-      if (tick > due) {
-        const std::int64_t credited_to =
-            std::min(tick, next_boundary_after(c, params_.max_cycles));
-        cores_[c].idle_cycles -=
-            static_cast<std::uint64_t>((credited_to - due) /
-                                       cores_[c].multiplier);
-        core_next_tick_[c] = due;
-      }
+    if (cores_[c].powered_on) {
+      credit_idle(c, next_boundary_after(c, now_));
+      core_next_tick_[c] = credit_from_[c];
     }
-    next = std::min(next, core_next_tick_[c]);
+    next_core_tick_ = std::min(next_core_tick_, core_next_tick_[c]);
   }
-  next_core_tick_ = next;
 }
 
 bool ClusterSim::at_epoch_boundary() const {
@@ -238,7 +201,8 @@ bool ClusterSim::at_epoch_boundary() const {
   return counts_.instructions >= next_epoch_instructions_;
 }
 
-void ClusterSim::on_epoch_boundary() {
+void ClusterSim::close_epoch() {
+  settle_skipped_ticks();
   const power::ActivityCounts delta = current_counts() - epoch_counts_;
   const power::EnergyBreakdown energy = power::compute_energy(
       cfg_.power, delta, (now_ - epoch_start_) * cfg_.clocking.cache_period);
@@ -249,6 +213,9 @@ void ClusterSim::on_epoch_boundary() {
   active_stat_.add(active_count_);
   emit_epoch_event();
 
+  // Decide before the next epoch's books open: a gated private core's
+  // flush writebacks then fall into neither epoch (the golden grid pins
+  // this order).
   if (governor_) {
     const std::uint32_t target =
         governor_->decide(last_epoch_epi_, active_count_);
@@ -274,21 +241,15 @@ void ClusterSim::step_cycle() {
     apply_fill(event);
   }
   if (now_ >= next_core_tick_) {
+    // A barrier completion inside the scan wakes cores behind the fold
+    // point by lowering next_core_tick_ (arrive_barrier).
+    next_core_tick_ = kNever;
     std::int64_t next = kNever;
     for (std::uint32_t pid = 0; pid < cores_.size(); ++pid) {
       if (core_next_tick_[pid] == now_) step_core(pid);
       next = std::min(next, core_next_tick_[pid]);
     }
-    if (tick_rescan_needed_) {
-      // A barrier completion unparked waiters behind the fold point, so
-      // the single-pass minimum may be stale: rescan.
-      tick_rescan_needed_ = false;
-      next = kNever;
-      for (const std::int64_t tick : core_next_tick_) {
-        next = std::min(next, tick);
-      }
-    }
-    next_core_tick_ = next;
+    next_core_tick_ = std::min(next_core_tick_, next);
   }
   advance_clock();
 }
@@ -300,10 +261,10 @@ void ClusterSim::advance_clock() {
   // change — a core tick, a fill-event return, the shared-cache
   // controller's next activity (a request becoming visible or a drain
   // opportunity; while a visible read waits it arbitrates and ages
-  // priority registers every cycle, so the jump collapses to +1), and
-  // (when observed) an epoch boundary. No jump once the workload has
-  // completed: the run loop exits at the next cycle, and the finish time
-  // must match the cycle-by-cycle clock.
+  // priority registers every cycle, so the jump collapses to +1), and the
+  // epoch horizon (max_cycles, an observed epoch boundary). No jump once
+  // the workload has completed: the run loop exits at the next cycle, and
+  // the finish time must match the cycle-by-cycle clock.
   if (params_.cycle_skip && !done()) {
     target = next_core_tick_;
     if (!fill_events_.empty()) {
@@ -314,17 +275,7 @@ void ClusterSim::advance_clock() {
     if (dl1_ctrl_ && target > next) {
       target = std::min(target, dl1_ctrl_->next_activity_cycle(now_));
     }
-    if (epoch_watched_) {
-      if (cfg_.governor == GovernorKind::kOs) {
-        target = std::min(target, next_epoch_cycle_);
-      } else if (counts_.instructions >= next_epoch_instructions_) {
-        // An instruction-count boundary is already pending; the caller
-        // handles it at now_ + 1 exactly as the cycle-by-cycle clock does.
-        target = next;
-      }
-    }
-    target = std::min(target, params_.max_cycles);
-    target = std::max(target, next);
+    target = std::max(std::min(target, epoch_horizon(0)), next);
     if (dl1_ctrl_ && target > next) {
       dl1_ctrl_->note_skipped_cycles(target - next);
     }
@@ -334,10 +285,9 @@ void ClusterSim::advance_clock() {
 
 void ClusterSim::step_core(std::uint32_t pid) {
   cpu::PhysicalCore& p = cores_[pid];
-  const std::int64_t m = p.multiplier;
-  core_next_tick_[pid] = now_ + m;
+  credit_idle(pid, now_);  // The polls a jump or a park skipped.
+  core_next_tick_[pid] = credit_from_[pid] = now_ + p.multiplier;
 
-  if (!p.powered_on) return;
   if (p.stalled_until > now_) {
     ++p.idle_cycles;
     return;
@@ -425,17 +375,14 @@ void ClusterSim::step_core(std::uint32_t pid) {
 
 void ClusterSim::fast_forward_idle(std::uint32_t pid) {
   // Idle-tick elision: a stalled core whose wake-up cycle is exactly
-  // computable ticks only idle until then, so its next_tick can jump
-  // straight there with the skipped ticks credited to idle_cycles in one
-  // go. A barrier waiter whose release cycle is not fixed yet parks
-  // instead: no polls at all until the last arrival (arrive_barrier) or a
-  // settle wakes it. Requires a single resident thread (no rotation or
-  // context-switch bookkeeping on intermediate ticks). Power gating,
-  // migration and epoch sampling happen only at epoch boundaries, and
-  // settle_skipped_ticks() undoes the run-ahead there first.
-  if (!params_.cycle_skip) return;
+  // computable ticks only idle until then, so its next tick jumps
+  // straight there; the polls in between are credited when it ticks. A
+  // barrier waiter whose release cycle is not fixed yet parks instead: no
+  // ticks at all until the last arrival wakes it (arrive_barrier) or a
+  // settle puts it back on its boundary. Power gating, migration and
+  // epoch sampling happen only at epoch boundaries, after the settle.
+  if (!may_skip_ticks(pid)) return;
   cpu::PhysicalCore& p = cores_[pid];
-  if (p.vcores.size() != 1) return;
   const cpu::VirtualCore& v = vcores_[p.vcores.front()];
   std::int64_t ready = 0;
   switch (v.state) {
@@ -451,7 +398,6 @@ void ClusterSim::fast_forward_idle(std::uint32_t pid) {
       // Until then the waiter cannot progress before another core's tick
       // brings the last arrival: park it.
       if (barrier_.completed < static_cast<std::int64_t>(v.barrier_id)) {
-        parked_at_[pid] = core_next_tick_[pid];
         core_next_tick_[pid] = kNever;
         return;
       }
@@ -476,21 +422,46 @@ void ClusterSim::fast_forward_idle(std::uint32_t pid) {
 }
 
 void ClusterSim::jump_idle_to(std::uint32_t pid, std::int64_t ready) {
-  // Jump core `pid`'s next tick to its first boundary at or after `ready`,
-  // crediting the boundary ticks in between as the idle polls the
-  // cycle-by-cycle clock would have executed. Callers must have
-  // established eligibility (cycle_skip on, single resident thread).
-  cpu::PhysicalCore& p = cores_[pid];
-  ready = std::max(ready, p.stalled_until);
-  const std::int64_t wake = next_boundary_after(pid, ready);
-  // Ticks past max_cycles never execute, so their idles are not credited.
-  const std::int64_t limit =
-      std::min(wake, next_boundary_after(pid, params_.max_cycles));
-  const std::int64_t elided =
-      (limit - core_next_tick_[pid]) / p.multiplier;
-  if (wake <= core_next_tick_[pid]) return;
-  if (elided > 0) p.idle_cycles += static_cast<std::uint64_t>(elided);
-  core_next_tick_[pid] = wake;
+  ready = std::max(ready, cores_[pid].stalled_until);
+  core_next_tick_[pid] =
+      std::max(credit_from_[pid], next_boundary_after(pid, ready));
+}
+
+std::int64_t ClusterSim::epoch_horizon(std::int64_t burst_m) const {
+  switch (cfg_.governor) {
+    case GovernorKind::kNone:
+      return params_.max_cycles;
+    case GovernorKind::kOs:
+      return std::min(params_.max_cycles, next_epoch_cycle_);
+    case GovernorKind::kGreedy:
+    case GovernorKind::kOracle:
+      break;
+  }
+  // Instruction-count epochs end once counts_.instructions reaches
+  // next_epoch_instructions_. A pending boundary is handled at now_ + 1,
+  // exactly as the cycle-by-cycle clock does. Otherwise only a core tick
+  // commits instructions, and the clock stops on every one.
+  if (counts_.instructions >= next_epoch_instructions_) return now_ + 1;
+  if (burst_m == 0) return params_.max_cycles;
+  // A burst window [now_, now_ + k * burst_m] may be elided only while
+  // the most it can commit stays below the boundary, so no cycle in it
+  // can reach the boundary: issue_width per elided tick of the bursting
+  // core, plus issue_width + 1 (a returning load and a full issue group)
+  // per tick of every other powered core, each ticking at most
+  // k * burst_m / min_multiplier_ + 1 times. Scaled by mm =
+  // min_multiplier_ to stay integral, that reads
+  //   (counts + iw * k) * mm + others * (k * burst_m + mm) < limit * mm.
+  const auto mm = static_cast<std::uint64_t>(min_multiplier_);
+  const std::uint64_t iw = cfg_.core_timing.issue_width;
+  const std::uint64_t others = (iw + 1) * (powered_cores_ - 1);
+  const std::uint64_t reserve = (counts_.instructions + others) * mm;
+  const std::uint64_t limit = next_epoch_instructions_ * mm;
+  if (limit <= reserve) return now_ + 1;
+  const std::uint64_t max_ticks =
+      (limit - reserve - 1) /
+      (iw * mm + others * static_cast<std::uint64_t>(burst_m));
+  return std::min(params_.max_cycles,
+                  now_ + (static_cast<std::int64_t>(max_ticks) + 1) * burst_m);
 }
 
 void ClusterSim::elide_compute_ticks(std::uint32_t pid, std::uint32_t vid) {
@@ -501,49 +472,18 @@ void ClusterSim::elide_compute_ticks(std::uint32_t pid, std::uint32_t vid) {
   // Replay that recurrence here, tick for tick in the exact same IEEE
   // arithmetic, and jump the core's next boundary past the elided ticks.
   // Boundary ticks (op completion or an ifetch trigger) are left to the
-  // normal path so their side effects land on the right cycle. As in
-  // fast_forward_idle(), the core must host a single resident thread.
+  // normal path so their side effects land on the right cycle.
   //
-  // Unlike an idle jump, a burst cannot be settled after the fact (its
-  // instructions may be what triggers the boundary), so under observed
-  // epochs every elided tick must fall before the next boundary:
-  //   - OS epochs end at next_epoch_cycle_, so the window ends before it;
-  //   - instruction-count epochs end once counts_.instructions reaches
-  //     next_epoch_instructions_. The window [now_, tick] is elided only
-  //     while the most it can commit stays below that count, so no cycle
-  //     in it can reach the boundary: issue_width per elided tick of this
-  //     core, plus issue_width + 1 (a returning load and a full issue
-  //     group) per tick of every other powered core, each ticking at most
-  //     (tick - now_) / min_multiplier_ + 1 times.
-  if (!params_.cycle_skip) return;
+  // Unlike an idle poll, an elided tick is credited at once: its
+  // instructions may be what triggers an epoch boundary, so every elided
+  // tick must fall before the epoch horizon.
+  if (!may_skip_ticks(pid)) return;
   cpu::PhysicalCore& p = cores_[pid];
-  if (p.vcores.size() != 1) return;
   cpu::VirtualCore& v = vcores_[vid];
   if (v.state != cpu::WaitState::kRunnable) return;
 
   const std::int64_t m = p.multiplier;
-  std::int64_t horizon = params_.max_cycles;
-  if (epoch_watched_) {
-    if (cfg_.governor == GovernorKind::kOs) {
-      horizon = std::min(horizon, next_epoch_cycle_);
-    } else {
-      // With k elided ticks the window spans k * m cycles; scaled by
-      // mm = min_multiplier_ to stay integral, the bound above reads
-      //   (counts + iw * k) * mm + others * (k * m + mm) < limit * mm.
-      const auto mm = static_cast<std::uint64_t>(min_multiplier_);
-      const std::uint64_t iw = cfg_.core_timing.issue_width;
-      const std::uint64_t others = (iw + 1) * (powered_cores_ - 1);
-      const std::uint64_t reserve = (counts_.instructions + others) * mm;
-      const std::uint64_t limit = next_epoch_instructions_ * mm;
-      if (limit <= reserve) return;
-      const std::uint64_t max_ticks =
-          (limit - reserve - 1) /
-          (iw * mm + others * static_cast<std::uint64_t>(m));
-      horizon = std::min(
-          horizon, now_ + (static_cast<std::int64_t>(max_ticks) + 1) * m);
-    }
-  }
-
+  const std::int64_t horizon = epoch_horizon(m);
   std::int64_t tick = now_ + m;  // First candidate: the very next boundary.
   double acc = v.issue_accumulator;
   std::uint32_t remaining = v.compute_remaining;
@@ -574,7 +514,7 @@ void ClusterSim::elide_compute_ticks(std::uint32_t pid, std::uint32_t vid) {
   p.quantum_remaining -= std::min<std::uint64_t>(p.quantum_remaining,
                                                  committed);
   p.busy_cycles += static_cast<std::uint64_t>(elided);
-  core_next_tick_[pid] = tick;
+  core_next_tick_[pid] = credit_from_[pid] = tick;
 }
 
 bool ClusterSim::try_context_switch(std::uint32_t pid) {
@@ -796,17 +736,15 @@ void ClusterSim::arrive_barrier(std::uint32_t vid) {
   counts_.coherence_messages +=
       cfg_.barrier_arrival_messages * vcores_.size();
 
-  // The release cycle is now fixed: wake every parked waiter, crediting
-  // the boundary polls it skipped while parked as the idle ticks the
-  // cycle-by-cycle clock would have executed. The arriving core itself
-  // was never parked; its step_core tail jumps it to the release.
+  // The release cycle is now fixed: wake every parked waiter (a powered
+  // core with no next tick) at the release; the polls it skipped are
+  // credited when it ticks there. The arriving core itself never parked;
+  // its step_core tail jumps it to the release.
   for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    if (parked_at_[c] == kNever) continue;
-    core_next_tick_[c] = parked_at_[c];
-    parked_at_[c] = kNever;
+    if (core_next_tick_[c] != kNever || !cores_[c].powered_on) continue;
     jump_idle_to(c, barrier_.last_release);
+    next_core_tick_ = std::min(next_core_tick_, core_next_tick_[c]);
   }
-  tick_rescan_needed_ = true;
 }
 
 bool ClusterSim::barrier_released(const cpu::VirtualCore& v) const {
@@ -1036,8 +974,8 @@ void ClusterSim::power_down_one() {
   cpu::PhysicalCore& p = cores_[victim];
   p.powered_on = false;
   p.run_index = 0;
-  // A gated core's ticks do nothing; stop them (power_up_one reschedules).
-  if (params_.cycle_skip) core_next_tick_[victim] = kNever;
+  // A gated core's ticks would do nothing; it has none until power_up_one.
+  core_next_tick_[victim] = kNever;
   if (private_l1_) private_l1_->flush_core(victim, backside_);
   --powered_cores_;
   --active_count_;
@@ -1061,7 +999,10 @@ void ClusterSim::power_up_one() {
   p.os_next_switch = now_ + cfg_.os_quantum_cycles;
   p.stalled_until =
       now_ + cfg_.core_timing.power_on_stall_cycles * p.multiplier;
-  core_next_tick_[target] = next_boundary_after(target, now_ + 1);
+  // Wake: the gated boundaries were neither polled nor are they idle, so
+  // the credit anchor starts at the first tick.
+  core_next_tick_[target] = credit_from_[target] =
+      next_boundary_after(target, now_ + 1);
   next_core_tick_ = std::min(next_core_tick_, core_next_tick_[target]);
   ++powered_cores_;
   ++active_count_;

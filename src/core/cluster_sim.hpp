@@ -39,11 +39,15 @@ struct SimParams {
   double workload_scale = 1.0;  ///< Multiplies phase instruction counts.
   std::uint64_t seed = 1;       ///< Workload + arbitration seed.
   std::int64_t max_cycles = 400'000'000;  ///< Safety valve (cache cycles).
-  /// Event-driven clock: when the shared-cache controller has nothing in
-  /// flight, jump straight to the next scheduled event (core tick, fill
-  /// return, epoch boundary) instead of stepping cycle by cycle. Results
-  /// are bit-identical either way (see docs/performance.md); the switch
-  /// exists so the determinism tests can pin that down.
+  /// Event-driven clock. The clock jumps to the next cycle where anything
+  /// can happen (a core tick, a fill return, controller activity, an
+  /// epoch boundary), and a core with one resident thread skips the ticks
+  /// it would spend waiting: it jumps to a known wake cycle, parks on a
+  /// barrier until the last arrival, or elides the interior of a compute
+  /// burst. Skipped idle polls are credited when the clock reaches them.
+  /// Off, every cycle and every powered core's tick is stepped: the
+  /// reference the determinism tests compare against. Results are
+  /// bit-identical either way (see docs/performance.md).
   bool cycle_skip = true;
   /// Structured trace destination (epoch boundaries, consolidation
   /// decisions — see docs/observability.md for the schema). Null disables
@@ -125,15 +129,20 @@ class ClusterSim {
              const workload::OpSourceFactory& sources,
              const SimParams& params);
 
-  /// Runs to completion, driving the configured governor internally
-  /// (greedy/OS). Oracle configurations are driven externally via
-  /// run_one_epoch — see oracle.hpp.
+  /// Runs to completion (or max_cycles), driving the configured governor
+  /// (greedy/OS) at every epoch boundary. Oracle configurations are driven
+  /// externally via run_one_epoch — see oracle.hpp.
   void run();
 
-  /// Advances until the next epoch boundary (or completion) WITHOUT
-  /// applying a governor decision; returns false when the workload is
-  /// done. Used by the oracle driver.
+  /// Advances to the next epoch boundary and closes the epoch (greedy/OS
+  /// governors decide there; the oracle decides from outside). Returns
+  /// false once the workload is done or max_cycles is reached; an
+  /// ungoverned configuration has no epochs and runs to that point.
   bool run_one_epoch();
+
+  /// Copy of the full simulator state with no trace sink, so a trial run
+  /// on it (the oracle's candidate epochs) records no events.
+  ClusterSim snapshot() const;
 
   bool done() const { return finished_vcores_ == vcores_.size(); }
 
@@ -196,21 +205,40 @@ class ClusterSim {
   void step_cycle();
   void advance_clock();
   void step_core(std::uint32_t pid);
+  /// True when `pid`'s ticks may be skipped (idle jump, barrier parking,
+  /// burst elision): the event-driven clock is on and the core hosts one
+  /// thread, so no rotation or context switch can fall on a skipped tick.
+  bool may_skip_ticks(std::uint32_t pid) const {
+    return params_.cycle_skip && cores_[pid].vcores.size() == 1;
+  }
   void fast_forward_idle(std::uint32_t pid);
-  /// Jumps `pid`'s next tick to its first boundary at or after `ready`,
-  /// crediting the skipped boundary ticks as idle polls. Callers guard
-  /// eligibility (cycle_skip, single resident thread); under observed
-  /// epochs settle_skipped_ticks() takes back the credits that a jump
-  /// carried past the next boundary.
+  /// Moves `pid`'s next tick to its first boundary at or after `ready`
+  /// (and its stall), never before its credit anchor. The boundaries in
+  /// between are idle polls; credit_idle() credits them when the core
+  /// next ticks or a settle reaches them.
   void jump_idle_to(std::uint32_t pid, std::int64_t ready);
-  /// Brings every jumped or parked core back to its first boundary at or
-  /// after now_, so the epoch bookkeeping, the governor and an oracle
-  /// snapshot see exactly the cycle-by-cycle state (see the definition).
+  /// Credits `pid` the idle polls on its boundaries in [anchor, t) and
+  /// moves the anchor to `t` (a boundary of `pid`); a no-op if `t` is not
+  /// past the anchor, which is the case on every tick of a core that has
+  /// not jumped.
+  void credit_idle(std::uint32_t pid, std::int64_t t);
+  /// Puts every powered core where the cycle-by-cycle clock has it at
+  /// now_ (see the definition), so the epoch books, the governor, an
+  /// oracle snapshot and a result see that state. Runs at each epoch
+  /// boundary and at the end of a run.
   void settle_skipped_ticks();
+  /// First cycle the run loop must look at again: max_cycles or, when a
+  /// governor observes epochs, the earliest cycle an epoch boundary can
+  /// fall on. `burst_m` is the multiplier of a core about to elide a
+  /// compute burst (its ticks, and every other core's, may commit
+  /// instructions inside the window), or 0 for the clock, which stops on
+  /// every core tick anyway.
+  std::int64_t epoch_horizon(std::int64_t burst_m) const;
   void execute_vcore(std::uint32_t pid, std::uint32_t vid);
   /// Replays the interior of a compute run in a tight loop (identical
-  /// arithmetic, no per-tick cluster scan) and jumps the core's next
-  /// boundary past the elided ticks. See the comment in the definition.
+  /// arithmetic, no per-tick cluster scan) and moves the core's next tick
+  /// and credit anchor past the elided ticks, which are credited busy at
+  /// once. See the comment in the definition.
   void elide_compute_ticks(std::uint32_t pid, std::uint32_t vid);
   void issue_load(std::uint32_t pid, std::uint32_t vid);
   bool issue_store(std::uint32_t pid, std::uint32_t vid);
@@ -223,7 +251,9 @@ class ClusterSim {
   void apply_fill(const FillEvent& event);
   bool try_context_switch(std::uint32_t pid);
   void rotate_vcore(std::uint32_t pid, std::uint32_t penalty_cycles);
-  void on_epoch_boundary();
+  /// Settles the cores, books the finished epoch (EPI, trace sample,
+  /// event), lets a greedy/OS governor decide, and opens the next epoch.
+  void close_epoch();
   bool at_epoch_boundary() const;
   void emit_epoch_event();
   void apply_active_count(std::uint32_t target);
@@ -245,30 +275,22 @@ class ClusterSim {
   std::int64_t now_ = 0;
   /// Cached min of core_next_tick_: the core scan runs only on cycles
   /// where some core actually ticks, and the event-driven clock jumps to
-  /// it when the cache side is quiescent.
+  /// it when the cache side is quiescent. A wake lowers it.
   std::int64_t next_core_tick_ = 0;
-  /// True when epoch boundaries are observable (a governor is configured
-  /// or run_one_epoch drives the sim). The clock then stops on boundary
-  /// cycles, each boundary settles the skipped ticks first, and compute
-  /// bursts are elided only inside a window the boundary cannot fall in.
-  bool epoch_watched_ = false;
 
   std::vector<cpu::VirtualCore> vcores_;
   std::vector<cpu::PhysicalCore> cores_;
-  /// Next core-cycle boundary per physical core, kept out of PhysicalCore
-  /// so the per-cycle tick scan walks one contiguous array.
+  /// The one clock representation per physical core, kept out of
+  /// PhysicalCore so the per-cycle tick scan walks one contiguous array.
+  /// core_next_tick_[p] is the next boundary tick `p` executes, or kNever
+  /// while `p` waits on an event whose cycle is not known yet (a barrier
+  /// waiter before the last arrival, or a gated core). credit_from_[p] is
+  /// the credit anchor: the first boundary of `p` that has been neither
+  /// executed nor credited. The boundaries in [anchor, next tick) are idle
+  /// polls that credit_idle() credits when the clock reaches them, never
+  /// ahead of it; only an elided compute burst is credited (busy) at once.
   std::vector<std::int64_t> core_next_tick_;
-  /// Boundary tick a barrier-parked core would next have polled on, or
-  /// kNever when the core is live. A parked core has core_next_tick_ set
-  /// to kNever (no boundary polls while it waits); barrier completion —
-  /// or settle_skipped_ticks() at an epoch boundary or at the end of a
-  /// run — restores the schedule and credits the skipped polls as idle
-  /// ticks.
-  std::vector<std::int64_t> parked_at_;
-  /// Set when a barrier completion moves another core's next tick backward
-  /// (unparking): the fold-as-you-go minimum in the tick scan is then stale
-  /// and must be recomputed before the clock advances.
-  bool tick_rescan_needed_ = false;
+  std::vector<std::int64_t> credit_from_;
   std::vector<std::uint32_t> host_of_;  ///< vcore -> physical core.
   std::vector<std::uint32_t> efficiency_order_;
   /// Fastest core clock multiplier: bounds how often any core can tick.
@@ -305,7 +327,8 @@ class ClusterSim {
   std::int64_t power_integral_mark_ = 0;
   std::uint32_t powered_cores_ = 0;
 
-  // Epoch bookkeeping.
+  // Epoch bookkeeping. Epochs are observed whenever cfg_.governor is not
+  // kNone; governor_ is engaged for the greedy and OS governors only.
   std::optional<GreedyGovernor> governor_;
   power::ActivityCounts epoch_counts_;
   std::int64_t epoch_start_ = 0;

@@ -43,7 +43,8 @@ SimResult run_with_oracle(ClusterSim& sim, const OracleParams& params) {
     std::uint32_t best = sim.active_cores();
     double best_epi = std::numeric_limits<double>::infinity();
     for (std::uint32_t k : candidates) {
-      ClusterSim trial = sim;  // Full architectural snapshot.
+      // Full architectural snapshot; trials write no trace events.
+      ClusterSim trial = sim.snapshot();
       trial.set_active_cores(k);
       if (!trial.run_one_epoch()) {
         // Workload ends inside this epoch: count total energy instead.

@@ -2,8 +2,12 @@
 // public behaviour, snapshot replay correctness, and stride validation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "core/oracle.hpp"
+#include "obs/obs.hpp"
 #include "workload/workload.hpp"
 
 namespace respin::core {
@@ -29,6 +33,68 @@ TEST(OracleDriver, CompletesAndRecordsTrace) {
   EXPECT_FALSE(r.trace.empty());
   EXPECT_GE(r.min_active_cores, 4u);
   EXPECT_LE(r.max_active_cores, 16u);
+}
+
+// Keeps every event in order; the oracle driver runs on one thread.
+class EventLog : public obs::TraceSink {
+ public:
+  void record(const obs::Event& event) override { events.push_back(event); }
+  std::vector<obs::Event> events;
+};
+
+std::int64_t int_field(const obs::Event& event, const std::string& key) {
+  for (const obs::Event::Field& field : event.fields()) {
+    if (field.key == key) return field.int_value;
+  }
+  ADD_FAILURE() << event.kind() << " event has no field " << key;
+  return -1;
+}
+
+TEST(OracleDriver, TraceHoldsOnlyTheCommittedRun) {
+  // Candidate trials must not write to the run's trace: it holds one
+  // epoch event per committed boundary, at strictly increasing cycles,
+  // and one consolidate event per change of the committed count.
+  EventLog log;
+  SimParams params = small_params();
+  params.trace = &log;
+  ClusterSim sim(
+      make_cluster_config(ConfigId::kShSttCcOracle, CacheSize::kMedium),
+      workload::benchmark("fft"), params);
+  const SimResult r = run_with_oracle(sim);
+  ASSERT_FALSE(r.trace.empty());
+
+  std::size_t epochs = 0;
+  std::size_t consolidations = 0;
+  std::int64_t last_cycle = -1;
+  std::int64_t active = sim.config().cluster_cores;
+  for (const obs::Event& event : log.events) {
+    if (event.kind() == "epoch") {
+      ASSERT_LT(epochs, r.trace.size());
+      const std::int64_t cycle = int_field(event, "cycle");
+      EXPECT_GT(cycle, last_cycle);
+      EXPECT_EQ(cycle, r.trace[epochs].cycle);
+      EXPECT_EQ(int_field(event, "active_cores"), active);
+      EXPECT_EQ(r.trace[epochs].active_cores, active);
+      last_cycle = cycle;
+      ++epochs;
+    } else if (event.kind() == "consolidate") {
+      EXPECT_EQ(int_field(event, "from_cores"), active);
+      EXPECT_NE(int_field(event, "to_cores"), active);
+      active = int_field(event, "to_cores");
+      ++consolidations;
+    }
+  }
+  EXPECT_EQ(epochs, r.trace.size());
+  // Every sample-to-sample count change is one consolidate event; the
+  // count committed for the epoch the workload ends in has no sample.
+  std::size_t changes = 0;
+  std::int64_t previous = sim.config().cluster_cores;
+  for (const ConsolidationSample& sample : r.trace) {
+    if (sample.active_cores != previous) ++changes;
+    previous = sample.active_cores;
+  }
+  EXPECT_GE(consolidations, changes);
+  EXPECT_LE(consolidations, changes + 1);
 }
 
 TEST(OracleDriver, RejectsZeroStride) {

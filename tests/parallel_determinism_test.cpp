@@ -139,32 +139,38 @@ TEST(SkipEquivalence, GovernedRunsMatchAtEveryEpochBoundary) {
 }
 
 TEST(SkipEquivalence, GovernedRunCutShortInsideABarrier) {
-  // A governed run() cut short by max_cycles: parked barrier waiters and
+  // A run() cut short by max_cycles: parked barrier waiters and
   // idle-jumped cores must be settled at the horizon. Several cut points
-  // are tried; at least one must fall inside a barrier wait.
-  const ClusterConfig config = short_epoch_config(ConfigId::kShSttCc);
-  SimParams params;
-  params.workload_scale = 0.05;
-  ClusterSim full(config, workload::benchmark("ocean"), params);
-  full.run();
-  const std::int64_t length = full.now();
-  bool cut_in_barrier = false;
-  for (int i = 1; i <= 8; ++i) {
-    params.max_cycles = length * i / 9 + i;
-    SimParams reference = params;
-    reference.cycle_skip = false;
-    ClusterSim skip(config, workload::benchmark("ocean"), params);
-    ClusterSim ref(config, workload::benchmark("ocean"), reference);
-    skip.run();
-    ref.run();
-    SCOPED_TRACE(params.max_cycles);
-    EXPECT_TRUE(skip.result().hit_cycle_limit);
-    expect_same_state(skip, ref);
-    if (ref.describe_state().find(" barrier ") != std::string::npos) {
-      cut_in_barrier = true;
+  // are tried; at least one must fall inside a barrier wait. PR-SRAM-NT
+  // and SH-STT park and jump with no governor, so no epoch boundary
+  // settles them before the cut.
+  for (const ConfigId id :
+       {ConfigId::kShSttCc, ConfigId::kPrSramNt, ConfigId::kShStt}) {
+    SCOPED_TRACE(to_string(id));
+    const ClusterConfig config = short_epoch_config(id);
+    SimParams params;
+    params.workload_scale = 0.05;
+    ClusterSim full(config, workload::benchmark("ocean"), params);
+    full.run();
+    const std::int64_t length = full.now();
+    bool cut_in_barrier = false;
+    for (int i = 1; i <= 8; ++i) {
+      params.max_cycles = length * i / 9 + i;
+      SimParams reference = params;
+      reference.cycle_skip = false;
+      ClusterSim skip(config, workload::benchmark("ocean"), params);
+      ClusterSim ref(config, workload::benchmark("ocean"), reference);
+      skip.run();
+      ref.run();
+      SCOPED_TRACE(params.max_cycles);
+      EXPECT_TRUE(skip.result().hit_cycle_limit);
+      expect_same_state(skip, ref);
+      if (ref.describe_state().find(" barrier ") != std::string::npos) {
+        cut_in_barrier = true;
+      }
     }
+    EXPECT_TRUE(cut_in_barrier);
   }
-  EXPECT_TRUE(cut_in_barrier);
 }
 
 // --- Serial vs parallel fan-out -------------------------------------------
